@@ -83,19 +83,25 @@ class MarkovChain:
         return np.array([r.sum() for r in self.rates])
 
     @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Directed edge list (src, dst, rate) in row order of ``neighbors``."""
+        src = np.repeat(
+            np.arange(self.n, dtype=np.intp), [len(nb) for nb in self.neighbors]
+        )
+        return src, np.concatenate(self.neighbors), np.concatenate(self.rates)
+
+    @cached_property
     def m2(self) -> np.ndarray:
         """Second-order rate sum: sum_y k(x,y) M1(y)."""
-        m1 = self.m1
-        return np.array(
-            [float(r @ m1[nb]) for nb, r in zip(self.neighbors, self.rates)]
-        )
+        src, dst, rate = self.edges
+        return np.bincount(src, weights=rate * self.m1[dst], minlength=self.n)
 
     @cached_property
     def rate_matrix(self) -> np.ndarray:
         """Dense generator matrix: off-diagonal k(x,y), diagonal -M1(x)."""
+        src, dst, rate = self.edges
         a = np.zeros((self.n, self.n))
-        for x, (nb, r) in enumerate(zip(self.neighbors, self.rates)):
-            a[x, nb] = r
+        a[src, dst] = rate
         a[np.diag_indices(self.n)] = -self.m1
         return a
 

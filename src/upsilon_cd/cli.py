@@ -27,7 +27,6 @@ from .curvature import (
 from .errors import NonConvergence, UpsilonCDError
 from .flow import (
     de_bruijn_residual,
-    entropy_decay_check,
     heat_flow,
     mlsi_check,
     beckner_check,
@@ -105,7 +104,6 @@ def _opts_from(args) -> CurvatureOptions:
     return CurvatureOptions(
         starts=args.starts,
         amplitude=args.amplitude,
-        tol_slack=args.tol_slack,
         seed=args.seed,
     )
 
@@ -205,7 +203,7 @@ def cmd_flow(args) -> int:
         summary["p_de_bruijn_residual"] = r1
         summary["p_second_derivative_residual"] = r2
     if args.kappa is not None:
-        decay = entropy_decay_check(chain, args.kappa, rho0, args.T, n_grid)
+        decay = trace.decay_check(args.kappa)
         summary["decay_kappa"] = args.kappa
         summary["decay_worst_ratio"] = decay.worst_ratio
         summary["decay_holds"] = decay.holds
@@ -285,16 +283,6 @@ def cmd_tensor(args) -> int:
 
 def _add_common(sp) -> None:
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument(
-        "--tol-slack",
-        dest="tol_slack",
-        type=float,
-        default=1e-8,
-        help="slack tolerance of the library's power-entropy check cd_p_check, "
-        "in units of the squared local rate scale; the CD checks run here "
-        "decide against the rounding error of the evaluated slack, so it is "
-        "only recorded in the report options",
-    )
     sp.add_argument("--starts", type=int, default=64)
     sp.add_argument("--amplitude", type=float, default=40.0)
     sp.add_argument("--out", type=str, default=None)

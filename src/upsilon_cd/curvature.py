@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +69,6 @@ class CurvatureOptions:
     probe_taus: tuple = (10.0, 20.0, 40.0)
     seed: int = 0
     maxiter: int = 400
-    workers: int = 0
 
 
 DEFAULT_OPTIONS = CurvatureOptions()
@@ -499,9 +497,6 @@ def cd_upsilon_kappa(
     (divergent witness family found), otherwise the best ratio found with a
     near-tight witness field.
     """
-    prob = VertexProblem(chain, x)
-    rng = _rng_for(opts, x)
-
     # Divergence first: the witness family drives the ratio below any bound
     # (linearly in tau) exactly when the branching condition holds.
     cert = divergence_certificate(chain, x, opts.minus_inf_threshold)
@@ -514,6 +509,8 @@ def cd_upsilon_kappa(
             {"divergent_via": int(y1), "tau_at_threshold": tau_star},
         )
 
+    prob = VertexProblem(chain, x)
+    rng = _rng_for(opts, x)
     z, val, diag = _multistart(prob, prob.ratio_value_grad, opts, rng)
     if val < opts.minus_inf_threshold:
         return VertexEstimate(x, float("-inf"), prob.field_from(z), diag)
@@ -714,9 +711,7 @@ def divergence_candidates(chain: MarkovChain, x: int) -> list:
     return out
 
 
-def divergence_certificate(
-    chain: MarkovChain, x: int, threshold: float, chain_girth: float | None = None
-):
+def divergence_certificate(chain: MarkovChain, x: int, threshold: float):
     """Detect ratio divergence at x via the witness family's exact asymptote.
 
     Along the family (one descending neighbour y1, the rest ascending with
@@ -725,13 +720,13 @@ def divergence_certificate(
         ratio(tau) = (margin/2) tau + C/(2 k(x,y1)),
         margin = M1(x) + M1(y1) - 2(k(x,y1) + k(y1,x)),
 
-    valid when the girth is >= 5 (no triangles or shared second-sphere
-    vertices near x). Divergence is certified when margin > 0; returns
-    (tau_star, witness) with ratio(tau_star) < threshold, else None.
+    valid when the two-ball of x has no edge inside the first sphere and no
+    second-sphere vertex shared by two first-sphere vertices (no triangle or
+    4-cycle through x). Divergence is certified when margin > 0; returns
+    (tau_star, y1, witness) with ratio(tau_star) < threshold, else None.
     """
-    if chain_girth is None:
-        chain_girth = girth(chain)
-    if chain_girth < 5:
+    prob = VertexProblem(chain, x)
+    if len(prob.e_coef) or prob.m2:
         return None
     best = None
     for y1 in divergence_candidates(chain, x):
@@ -1019,16 +1014,10 @@ def chain_curvature_report(
 ) -> CurvatureReport:
     """Per-vertex Bakry-Emery and exponential-calculus constants.
 
-    Vertices are independent; with opts.workers > 1 they are estimated in a
-    thread pool. Results are deterministic either way because every vertex
-    draws from its own (seed, vertex) generator.
+    Results are deterministic because every vertex draws from its own
+    (seed, vertex) generator.
     """
-    xs = list(range(chain.n))
-    if opts.workers and opts.workers > 1:
-        with ThreadPoolExecutor(max_workers=opts.workers) as pool:
-            records = list(pool.map(lambda x: _vertex_record(chain, x, opts), xs))
-    else:
-        records = [_vertex_record(chain, x, opts) for x in xs]
+    records = [_vertex_record(chain, x, opts) for x in range(chain.n)]
     kbe = min(r["kappa_be"] for r in records)
     kus = [r["kappa_upsilon"] for r in records]
     finite = [k for k in kus if not math.isnan(k)]
@@ -1042,7 +1031,6 @@ def chain_curvature_report(
         opts={
             "starts": opts.starts,
             "amplitude": opts.amplitude,
-            "tol_slack": opts.tol_slack,
             "minus_inf_threshold": opts.minus_inf_threshold,
         },
         any_nonconverged=nonconverged,

@@ -26,8 +26,10 @@ from .errors import (
 )
 from .kernels import log_mean, log_mean_d1, phi_p, phi_p_prime
 from .operators import (
+    _diff,
     _field,
     _positive_field,
+    _rate_sum,
     generator_apply,
     psi2_p,
     psi2_upsilon,
@@ -82,10 +84,7 @@ def dirichlet_form(chain: MarkovChain, f, g) -> float:
     """(1/2) sum_{x,y} k(x,y)(f(y)-f(x))(g(y)-g(x)) pi(x)."""
     f = _field(chain, f)
     g = _field(chain, g)
-    acc = 0.0
-    for x, (nb, r) in enumerate(zip(chain.neighbors, chain.rates)):
-        acc += chain.pi[x] * float(r @ ((f[nb] - f[x]) * (g[nb] - g[x])))
-    return 0.5 * acc
+    return 0.5 * float(chain.pi @ _rate_sum(chain, _diff(chain, f) * _diff(chain, g)))
 
 
 def fisher_dirichlet(chain: MarkovChain, rho) -> float:
@@ -117,6 +116,20 @@ class FlowTrace:
         for row in zip(*data):
             lines.append(",".join(f"{v:.17g}" for v in row))
         return "\n".join(lines) + "\n"
+
+    def decay_check(self, kappa: float) -> InequalityReport:
+        """Verify H(rho_t) <= exp(-2 kappa t) H(rho_0) along this trace."""
+        H0 = self.H[0]
+        if H0 <= 0.0:
+            raise NonPositiveEntropy("H(rho_0) = 0; decay holds trivially")
+        bound = np.exp(-2.0 * kappa * self.times) * H0
+        worst = float(np.max(self.H / np.maximum(bound, 1e-300)))
+        return InequalityReport(
+            holds=bool(worst <= 1.0 + 1e-8),
+            worst_ratio=worst,
+            n_samples=len(self.times),
+            details={"kappa": kappa, "H0": float(H0)},
+        )
 
     def densities_dict(self) -> dict:
         """Sidecar document with the full density trajectory."""
@@ -371,19 +384,7 @@ def entropy_decay_check(
     chain: MarkovChain, kappa: float, rho0, T: float, output_grid=201
 ) -> InequalityReport:
     """Verify H(rho_t) <= exp(-2 kappa t) H(rho_0) along the flow."""
-    trace = heat_flow(chain, rho0, T, output_grid)
-    H0 = trace.H[0]
-    if H0 <= 0.0:
-        raise NonPositiveEntropy("H(rho_0) = 0; decay holds trivially")
-    bound = np.exp(-2.0 * kappa * trace.times) * H0
-    ratio = trace.H / np.maximum(bound, 1e-300)
-    worst = float(np.max(ratio))
-    return InequalityReport(
-        holds=bool(worst <= 1.0 + 1e-8),
-        worst_ratio=worst,
-        n_samples=len(trace.times),
-        details={"kappa": kappa, "H0": float(H0)},
-    )
+    return heat_flow(chain, rho0, T, output_grid).decay_check(kappa)
 
 
 def decay_rate_fit(trace: FlowTrace) -> float:
@@ -478,11 +479,9 @@ def erbar_maas_A(chain: MarkovChain, rho, psi) -> float:
     """(1/2) sum (psi(x)-psi(y))^2 logmean(rho(x), rho(y)) k(x,y) pi(x)."""
     rho = _positive_field(chain, rho)
     psi = _field(chain, psi)
-    acc = 0.0
-    for x, (nb, r) in enumerate(zip(chain.neighbors, chain.rates)):
-        th = log_mean(rho[x], rho[nb])
-        acc += chain.pi[x] * float(r @ ((psi[x] - psi[nb]) ** 2 * th))
-    return 0.5 * acc
+    src, dst, _ = chain.edges
+    th = log_mean(rho[src], rho[dst])
+    return 0.5 * float(chain.pi @ _rate_sum(chain, _diff(chain, psi) ** 2 * th))
 
 
 def erbar_maas_B(chain: MarkovChain, rho, psi) -> float:
@@ -491,18 +490,13 @@ def erbar_maas_B(chain: MarkovChain, rho, psi) -> float:
     psi = _field(chain, psi)
     lrho = generator_apply(chain, rho)
     lpsi = generator_apply(chain, psi)
-    acc1 = 0.0
-    acc2 = 0.0
-    for x, (nb, r) in enumerate(zip(chain.neighbors, chain.rates)):
-        dpsi2 = (psi[x] - psi[nb]) ** 2
-        d1 = log_mean_d1(rho[x], rho[nb])
-        d2 = log_mean_d1(rho[nb], rho[x])
-        lhat = d1 * lrho[x] + d2 * lrho[nb]
-        acc1 += chain.pi[x] * float(r @ (dpsi2 * lhat))
-        th = log_mean(rho[x], rho[nb])
-        acc2 += chain.pi[x] * float(
-            r @ ((lpsi[x] - lpsi[nb]) * (psi[x] - psi[nb]) * th)
-        )
+    src, dst, _ = chain.edges
+    rs, rd = rho[src], rho[dst]
+    dpsi = _diff(chain, psi)
+    lhat = log_mean_d1(rs, rd) * lrho[src] + log_mean_d1(rd, rs) * lrho[dst]
+    acc1 = float(chain.pi @ _rate_sum(chain, dpsi**2 * lhat))
+    th = log_mean(rs, rd)
+    acc2 = float(chain.pi @ _rate_sum(chain, _diff(chain, lpsi) * dpsi * th))
     return 0.25 * acc1 - 0.5 * acc2
 
 

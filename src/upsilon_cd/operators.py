@@ -71,15 +71,22 @@ def _positive_field(chain: MarkovChain, f) -> np.ndarray:
     return f
 
 
+def _diff(chain: MarkovChain, f: np.ndarray) -> np.ndarray:
+    """f(y) - f(x) on every directed edge (x, y) of ``chain.edges``."""
+    src, dst, _ = chain.edges
+    return f[dst] - f[src]
+
+
+def _rate_sum(chain: MarkovChain, v: np.ndarray) -> np.ndarray:
+    """sum_y k(x,y) v(x,y) for an edge-aligned array v."""
+    src, _, rate = chain.edges
+    return np.bincount(src, weights=rate * v, minlength=chain.n)
+
+
 def generator_apply(chain: MarkovChain, f) -> np.ndarray:
     """(Lf)(x) = sum_y k(x,y) (f(y) - f(x))."""
     f = _field(chain, f)
-    return np.array(
-        [
-            float(r @ (f[nb] - f[x]))
-            for x, (nb, r) in enumerate(zip(chain.neighbors, chain.rates))
-        ]
-    )
+    return _rate_sum(chain, _diff(chain, f))
 
 
 def invariance_residual(chain: MarkovChain, f) -> float:
@@ -89,14 +96,9 @@ def invariance_residual(chain: MarkovChain, f) -> float:
 
 def gamma(chain: MarkovChain, f, g=None) -> np.ndarray:
     """Carre du champ: (1/2) sum_y k(x,y)(f(y)-f(x))(g(y)-g(x))."""
-    f = _field(chain, f)
-    g = f if g is None else _field(chain, g)
-    return np.array(
-        [
-            0.5 * float(r @ ((f[nb] - f[x]) * (g[nb] - g[x])))
-            for x, (nb, r) in enumerate(zip(chain.neighbors, chain.rates))
-        ]
-    )
+    df = _diff(chain, _field(chain, f))
+    dg = df if g is None else _diff(chain, _field(chain, g))
+    return 0.5 * _rate_sum(chain, df * dg)
 
 
 def gamma2(chain: MarkovChain, f) -> np.ndarray:
@@ -111,41 +113,21 @@ def gamma2(chain: MarkovChain, f) -> np.ndarray:
 def psi_h(chain: MarkovChain, kernel: ScalarKernel, f) -> np.ndarray:
     """Psi_H(f)(x) = sum_y k(x,y) H(f(y) - f(x))."""
     f = _field(chain, f)
-    return np.array(
-        [
-            float(r @ np.asarray(kernel.h(f[nb] - f[x]), dtype=float))
-            for x, (nb, r) in enumerate(zip(chain.neighbors, chain.rates))
-        ]
-    )
+    return _rate_sum(chain, np.asarray(kernel.h(_diff(chain, f)), dtype=float))
 
 
 def b_h(chain: MarkovChain, kernel: ScalarKernel, f, g) -> np.ndarray:
     """B_H(f,g)(x) = sum_y k(x,y) H(f(y)-f(x)) (g(y)-g(x))."""
     f = _field(chain, f)
     g = _field(chain, g)
-    return np.array(
-        [
-            float(
-                r
-                @ (
-                    np.asarray(kernel.h(f[nb] - f[x]), dtype=float)
-                    * (g[nb] - g[x])
-                )
-            )
-            for x, (nb, r) in enumerate(zip(chain.neighbors, chain.rates))
-        ]
-    )
+    hf = np.asarray(kernel.h(_diff(chain, f)), dtype=float)
+    return _rate_sum(chain, hf * _diff(chain, g))
 
 
 def psi_upsilon(chain: MarkovChain, f) -> np.ndarray:
     """Psi_Ups(f)(x) = sum_y k(x,y) ups(f(y)-f(x)); nonnegative."""
     f = _field(chain, f)
-    return np.array(
-        [
-            float(r @ ups(f[nb] - f[x]))
-            for x, (nb, r) in enumerate(zip(chain.neighbors, chain.rates))
-        ]
-    )
+    return _rate_sum(chain, ups(_diff(chain, f)))
 
 
 def psi2_h(chain: MarkovChain, kernel: ScalarKernel, f) -> np.ndarray:
@@ -162,12 +144,7 @@ def psi2_upsilon(chain: MarkovChain, f) -> np.ndarray:
     """(1/2)(L Psi_Ups(f) - B_{Ups'}(f, Lf))."""
     f = _field(chain, f)
     lf = generator_apply(chain, f)
-    bterm = np.array(
-        [
-            float(r @ (ups_prime(f[nb] - f[x]) * (lf[nb] - lf[x])))
-            for x, (nb, r) in enumerate(zip(chain.neighbors, chain.rates))
-        ]
-    )
+    bterm = _rate_sum(chain, ups_prime(_diff(chain, f)) * _diff(chain, lf))
     return 0.5 * (generator_apply(chain, psi_upsilon(chain, f)) - bterm)
 
 
@@ -204,12 +181,8 @@ def bregman_sum(chain: MarkovChain, kernel: ScalarKernel, f) -> np.ndarray:
     """sum_y k(x,y) Lambda_H(f(y), f(x)) -- the Bregman aggregate of H."""
     f = _field(chain, f)
     kernel.check_domain(f)
-    return np.array(
-        [
-            float(r @ np.asarray(bregman(kernel, f[nb], f[x]), dtype=float))
-            for x, (nb, r) in enumerate(zip(chain.neighbors, chain.rates))
-        ]
-    )
+    src, dst, _ = chain.edges
+    return _rate_sum(chain, np.asarray(bregman(kernel, f[dst], f[src]), dtype=float))
 
 
 def log_chain_residual(chain: MarkovChain, f) -> float:
@@ -252,12 +225,7 @@ def psi2_p(chain: MarkovChain, p: float, f) -> np.ndarray:
     f = _positive_field(chain, f)
     lpp = l_phi_p_prime(chain, p, f)
     logf = np.log(f)
-    bterm = np.array(
-        [
-            float(r @ (ups_prime(logf[nb] - logf[x]) * (lpp[nb] - lpp[x])))
-            for x, (nb, r) in enumerate(zip(chain.neighbors, chain.rates))
-        ]
-    )
+    bterm = _rate_sum(chain, ups_prime(_diff(chain, logf)) * _diff(chain, lpp))
     return 0.5 * (generator_apply(chain, psi_p(chain, p, f)) - bterm)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from upsilon_cd import chains as ch
+from upsilon_cd import flow as fl
 from upsilon_cd import operators as op
 from upsilon_cd.errors import (
     DimensionMismatch,
@@ -18,7 +19,10 @@ from upsilon_cd.kernels import (
     LOG_BREGMAN,
     UPSILON,
     UPSILON_PRIME,
+    bregman,
     phi_p_prime_kernel,
+    ups,
+    ups_prime,
 )
 
 from conftest import random_reversible_chain, random_unweighted_graph_chain
@@ -42,6 +46,93 @@ class TestGenerator:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             op.generator_apply(ch.complete(3), np.zeros(4))
+
+
+class TestEdgeCore:
+    """The edge-list operators against double loops over a dense k(x, y)."""
+
+    SEEDS = (3, 11, 29, 47)
+
+    @staticmethod
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        chain = random_reversible_chain(rng, n=7, p_edge=0.4)
+        assert not chain.is_unweighted()
+        assert len({len(nb) for nb in chain.neighbors}) > 1
+        k = np.array(
+            [[chain.rate(x, y) for y in range(chain.n)] for x in range(chain.n)]
+        )
+        return rng, chain, k
+
+    @staticmethod
+    def edge_sum(k, term):
+        """sum_y k(x,y) term(x, y) per x, and the summed term magnitudes."""
+        n = len(k)
+        val, mag = np.zeros(n), np.zeros(n)
+        for x in range(n):
+            for y in range(n):
+                if k[x, y] > 0.0:
+                    t = k[x, y] * term(x, y)
+                    val[x] += t
+                    mag[x] += abs(t)
+        return val, mag
+
+    @staticmethod
+    def assert_close(got, ref, mag):
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(mag, 1e-300))
+
+    def test_edges_reproduce_rates(self):
+        for seed in self.SEEDS:
+            _, chain, k = self.draw(seed)
+            src, dst, rate = chain.edges
+            assert np.all(np.diff(src) >= 0)
+            dense = np.zeros((chain.n, chain.n))
+            dense[src, dst] = rate
+            assert len(set(zip(src.tolist(), dst.tolist()))) == len(src)
+            assert np.array_equal(dense, k)
+            off = chain.rate_matrix - np.diag(np.diag(chain.rate_matrix))
+            assert np.array_equal(off, k)
+            assert np.array_equal(np.diag(chain.rate_matrix), -chain.m1)
+            np.testing.assert_allclose(
+                np.bincount(src, weights=rate, minlength=chain.n), chain.m1,
+                rtol=1e-15,
+            )
+
+    def test_pointwise_operators(self):
+        for seed in self.SEEDS:
+            rng, chain, k = self.draw(seed)
+            f, g = rng.normal(size=chain.n), rng.normal(size=chain.n)
+            cases = [
+                (op.generator_apply(chain, f), lambda x, y: f[y] - f[x]),
+                (
+                    op.gamma(chain, f, g),
+                    lambda x, y: 0.5 * (f[y] - f[x]) * (g[y] - g[x]),
+                ),
+                (op.psi_upsilon(chain, f), lambda x, y: ups(f[y] - f[x])),
+                (
+                    op.b_h(chain, UPSILON_PRIME, f, g),
+                    lambda x, y: ups_prime(f[y] - f[x]) * (g[y] - g[x]),
+                ),
+            ]
+            for got, term in cases:
+                self.assert_close(got, *self.edge_sum(k, term))
+
+    def test_bregman_sums(self):
+        for seed in self.SEEDS:
+            rng, chain, k = self.draw(seed)
+            w = np.exp(rng.normal(size=chain.n))
+            for kernel in (UPSILON, LOG_BREGMAN, phi_p_prime_kernel(1.5)):
+                ref = self.edge_sum(k, lambda x, y: bregman(kernel, w[y], w[x]))
+                self.assert_close(op.bregman_sum(chain, kernel, w), *ref)
+
+    def test_dirichlet_form(self):
+        for seed in self.SEEDS:
+            rng, chain, k = self.draw(seed)
+            f, g = rng.normal(size=chain.n), rng.normal(size=chain.n)
+            val, mag = self.edge_sum(k, lambda x, y: (f[y] - f[x]) * (g[y] - g[x]))
+            ref = 0.5 * float(chain.pi @ val)
+            scale = 0.5 * float(chain.pi @ mag)
+            assert abs(fl.dirichlet_form(chain, f, g) - ref) <= 1e-13 * scale
 
 
 class TestPsiAndB:
