@@ -75,14 +75,21 @@ DEFAULT_OPTIONS = CurvatureOptions()
 
 
 class VertexProblem:
-    """Index structure of the two-ball at x, with batched objective kernels.
+    """Second-step edge list of the two-ball at x, with one objective kernel.
 
     Free variables are u = f|S1 and w = f|S2shared (f(x) = 0 normalized
     away; the ratio and check objectives are invariant under constants).
     A second-sphere vertex is "private" when it is reachable from exactly
     one S1 vertex y; its optimal value 2 u_y is known in closed form
     (the Bregman term r -> ups(r - u_y) - ups'(u_y)(r - u_y) is convex with
-    minimum -omega(u_y)), so it never enters the search space.
+    minimum -omega(u_y)), so it never enters the search space. The raw
+    variables append f|S2private (columns follow s2_private).
+
+    Every edge y -> z with y in S1 is one entry of ``(src, tgt, coef)``:
+    ``src`` is y's index in S1, ``tgt`` the raw column of z (-1 for z = x),
+    ``coef`` = c_y k(y, z). Edges into x come first, then into S1, then into
+    shared S2, with private S2 last. ``z @ diff`` is f(tgt) - u_src on every
+    edge.
     """
 
     def __init__(self, chain: MarkovChain, x: int):
@@ -94,113 +101,112 @@ class VertexProblem:
         self.s1 = np.array(s1, dtype=np.intp)
         self.c = np.array(chain.rates[x], dtype=float)
         self.m1x = float(self.c.sum())
+        m1 = len(s1)
         pos1 = {y: i for i, y in enumerate(s1)}
 
+        into_x, into_s1 = [], []
         s2_hits: dict[int, list[tuple[int, float]]] = {}
-        x_coef = np.zeros(len(s1))
-        e_y, e_a, e_coef = [], [], []
-        for iy, y in enumerate(s1):
-            cy = self.c[iy]
-            for z, kyz in zip(chain.neighbors[y], chain.rates[y]):
-                z = int(z)
+        for iy, (y, cy) in enumerate(zip(s1, self.c.tolist())):
+            for z, kyz in zip(chain.neighbors[y].tolist(), chain.rates[y].tolist()):
+                coef = cy * kyz
                 if z == self.x:
-                    x_coef[iy] += cy * kyz
+                    into_x.append((iy, -1, coef))
                 elif z in pos1:
-                    e_y.append(iy)
-                    e_a.append(pos1[z])
-                    e_coef.append(cy * kyz)
+                    into_s1.append((iy, pos1[z], coef))
                 else:
-                    s2_hits.setdefault(z, []).append((iy, cy * kyz))
-
+                    s2_hits.setdefault(z, []).append((iy, coef))
         shared = sorted(z for z, hits in s2_hits.items() if len(hits) > 1)
         private = sorted(z for z, hits in s2_hits.items() if len(hits) == 1)
+        col = {z: m1 + i for i, z in enumerate(shared + private)}
+        edges = into_x + into_s1 + [
+            (iy, col[z], coef) for z in shared + private for iy, coef in s2_hits[z]
+        ]
         self.s2_shared = np.array(shared, dtype=np.intp)
         self.s2_private = np.array(private, dtype=np.intp)
-        posb = {z: i for i, z in enumerate(shared)}
+        # states of the raw columns
+        self.ball = np.concatenate([self.s1, self.s2_shared, self.s2_private])
 
-        self.x_coef = x_coef
-        self.e_y = np.array(e_y, dtype=np.intp)
-        self.e_a = np.array(e_a, dtype=np.intp)
-        self.e_coef = np.array(e_coef, dtype=float)
-        sh_y, sh_b, sh_coef = [], [], []
-        priv_coef = np.zeros(len(s1))
-        pr_y, pr_z, pr_coef = [], [], []
-        # deterministic column order: private columns follow s2_private
-        for z in sorted(s2_hits):
-            hits = s2_hits[z]
-            if len(hits) > 1:
-                for iy, coef in hits:
-                    sh_y.append(iy)
-                    sh_b.append(posb[z])
-                    sh_coef.append(coef)
-            else:
-                iy, coef = hits[0]
-                priv_coef[iy] += coef
-                pr_y.append(iy)
-                pr_z.append(z)
-                pr_coef.append(coef)
-        self.sh_y = np.array(sh_y, dtype=np.intp)
-        self.sh_b = np.array(sh_b, dtype=np.intp)
-        self.sh_coef = np.array(sh_coef, dtype=float)
-        self.priv_coef = priv_coef
-        self._pr_y = np.array(pr_y, dtype=np.intp)
-        self._pr_z = np.array(pr_z, dtype=np.intp)
-        self._pr_coef = np.array(pr_coef, dtype=float)
-
-        self.m1 = len(s1)
+        self.m1 = m1
         self.m2 = len(shared)
-        self.dim = self.m1 + self.m2
+        self.dim = m1 + self.m2
         self.raw_dim = self.dim + len(private)
 
-    # -- batched evaluation (rows of Z are variable vectors) -------------------
+        # every y in S1 has the edge back to x: the support is symmetric
+        src, tgt, coef = zip(*edges)
+        self.src = np.array(src, dtype=np.intp)
+        self.tgt = np.array(tgt, dtype=np.intp)
+        self.coef = np.array(coef, dtype=float)
+        n_edges = len(self.coef)
+        self._n_red = n_edges - len(private)
+        cols = np.arange(n_edges)
+        self.diff = np.zeros((self.raw_dim, n_edges))
+        self.diff[self.src, cols] = -1.0
+        into_ball = self.tgt >= 0
+        self.diff[self.tgt[into_ball], cols[into_ball]] = 1.0
+        self._diff_red = np.ascontiguousarray(self.diff[: self.dim, : self._n_red])
+        self._src_inc = (self.src[:, None] == np.arange(m1)).astype(float)
+        # sum over the private edges out of y of c_y k(y, z)
+        self._priv_coef = np.bincount(
+            self.src[self._n_red :], self.coef[self._n_red :], minlength=m1
+        )
 
-    def split(self, z: np.ndarray):
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        return z[:, : self.m1], z[:, self.m1 : self.dim]
+    # -- the objective kernel (last axis of z is the variable vector) ----------
 
-    def psi_batch(self, u: np.ndarray) -> np.ndarray:
-        return ups(u) @ self.c
+    def _edges(self, width: int):
+        """(incidence, number of explicit edges) for a ``width``-wide z.
 
-    def lf_batch(self, u: np.ndarray) -> np.ndarray:
-        return u @ self.c
-
-    def two_psi2_batch(self, u, w, private_w=None) -> np.ndarray:
-        """2 Psi_2(f)(x) with private values reduced out (or fixed).
-
-        ``private_w``: optional explicit values for the private second
-        sphere (columns follow self.s2_private); None takes the exact
-        inner minimum -omega(u_y) per private mass.
+        ``raw_dim`` makes every edge explicit; ``dim`` leaves the private
+        edges to the exact inner minimum.
         """
+        if width == self.raw_dim:
+            return self.diff, len(self.coef)
+        return self._diff_red, self._n_red
+
+    def _objective(self, z: np.ndarray, grad: bool = False):
+        """Lf(x), Psi(f)(x) and 2 Psi_2(f)(x) with f(x) = 0 and f|ball = z.
+
+        ``z.shape[-1]`` decides raw versus reduced (see _edges); the
+        reduced form takes each private edge y -> z at its exact minimum
+        -c_y k(y, z) omega(u_y). With ``grad`` also returns dPsi/du and
+        d(2 Psi_2)/dz.
+        """
+        z = np.asarray(z, dtype=float)
+        u = z[..., : self.m1]
+        diff, n = self._edges(z.shape[-1])
+        d = z @ diff
+        src, coef = self.src[:n], self.coef[:n]
         upv = ups_prime(u)
-        acc = (ups(-u) + upv * u) @ self.x_coef
-        if len(self.e_coef):
-            d = u[:, self.e_a] - u[:, self.e_y]
-            acc = acc + (ups(d) - upv[:, self.e_y] * d) @ self.e_coef
-        if len(self.sh_coef):
-            d = w[:, self.sh_b] - u[:, self.sh_y]
-            acc = acc + (ups(d) - upv[:, self.sh_y] * d) @ self.sh_coef
-        if private_w is None:
-            acc = acc - omega(u) @ self.priv_coef
-        elif len(self._pr_coef):
-            d = private_w[:, : len(self._pr_coef)] - u[:, self._pr_y]
-            acc = acc + (ups(d) - upv[:, self._pr_y] * d) @ self._pr_coef
-        lf = self.lf_batch(u)
-        acc = acc + (upv @ self.c) * lf
-        return acc - self.m1x * self.psi_batch(u)
+        upv_src = upv[..., src]
+        lf = u @ self.c
+        psi = ups(u) @ self.c
+        s = upv @ self.c
+        two_psi2 = (ups(d) - upv_src * d) @ coef + s * lf - self.m1x * psi
+        reduced = n < len(self.coef)
+        if reduced:
+            two_psi2 = two_psi2 - omega(u) @ self._priv_coef
+        if not grad:
+            return lf, psi, two_psi2
+        eu = np.exp(u)
+        dpsi = self.c * upv
+        g = (coef * (ups_prime(d) - upv_src)) @ diff.T
+        g[..., : self.m1] += (
+            self.c * (eu * lf[..., None] + s[..., None])
+            - eu * ((coef * d) @ self._src_inc[:n])
+            - self.m1x * dpsi
+        )
+        if reduced:
+            g[..., : self.m1] -= self._priv_coef * omega_prime(u)
+        return lf, psi, two_psi2, dpsi, g
 
     def ratio_batch(self, z: np.ndarray) -> np.ndarray:
-        u, w = self.split(z)
-        psi = self.psi_batch(u)
+        _, psi, two_psi2 = self._objective(z)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.two_psi2_batch(u, w) / (2.0 * psi)
+            out = two_psi2 / (2.0 * psi)
         return np.where(psi > 1e-300, out, np.inf)
 
     def check_batch(self, z: np.ndarray, kappa: float, inv_d: float = 0.0) -> np.ndarray:
-        u, w = self.split(z)
-        g = 0.5 * self.two_psi2_batch(u, w) - kappa * self.psi_batch(u)
-        if inv_d:
-            g = g - inv_d * self.lf_batch(u) ** 2
-        return g
+        lf, psi, two_psi2 = self._objective(z)
+        return 0.5 * two_psi2 - kappa * psi - inv_d * lf**2
 
     def check_magnitude_batch(
         self, z: np.ndarray, kappa: float, inv_d: float = 0.0
@@ -208,98 +214,45 @@ class VertexProblem:
         """Sum of the magnitudes of the terms that make up check_batch(z).
 
         Each kernel value counts with the terms it is computed from, and a
-        computed difference d adds |ups'(d) d| for its own rounding; a fixed
-        multiple of machine epsilon times this sum bounds the rounding error
-        of the evaluated slack.
+        computed difference d adds |ups'(d) d| for its own rounding (not on
+        edges into x, where d = -u is exact); a fixed multiple of machine
+        epsilon times this sum bounds the rounding error of the evaluated
+        slack.
         """
-        u, w = self.split(z)
+        z = np.asarray(z, dtype=float)
+        u = z[..., : self.m1]
+        diff, n = self._edges(z.shape[-1])
+        d = z @ diff
         upv = ups_prime(u)
-        acc = (_ups_terms(-u) + np.abs(upv * u)) @ self.x_coef
-        for vals, idx, iy, coef in (
-            (u, self.e_a, self.e_y, self.e_coef),
-            (w, self.sh_b, self.sh_y, self.sh_coef),
-        ):
-            if len(coef):
-                d = vals[:, idx] - u[:, iy]
-                acc = acc + (
-                    _ups_terms(d)
-                    + np.abs(ups_prime(d) * d)
-                    + np.abs(upv[:, iy] * d)
-                ) @ coef
-        acc = acc + _omega_terms(u) @ self.priv_coef
+        computed = self.tgt[:n] >= 0
+        acc = (
+            _ups_terms(d)
+            + np.abs(upv[..., self.src[:n]] * d)
+            + np.where(computed, np.abs(ups_prime(d) * d), 0.0)
+        ) @ self.coef[:n]
+        if n < len(self.coef):
+            acc = acc + _omega_terms(u) @ self._priv_coef
         lf_abs = np.abs(u) @ self.c
         acc = acc + (np.abs(upv) @ self.c) * lf_abs
         psi_terms = _ups_terms(u) @ self.c
         acc = 0.5 * (acc + self.m1x * psi_terms) + abs(kappa) * psi_terms
         return acc + inv_d * lf_abs**2
 
-    def check_batch_raw(self, z_raw: np.ndarray, kappa: float, inv_d: float = 0.0) -> np.ndarray:
-        """Check objective over the full two-ball (no private reduction)."""
-        z_raw = np.atleast_2d(np.asarray(z_raw, dtype=float))
-        u = z_raw[:, : self.m1]
-        w = z_raw[:, self.m1 : self.dim]
-        pw = z_raw[:, self.dim :]
-        g = 0.5 * self.two_psi2_batch(u, w, private_w=pw) - kappa * self.psi_batch(u)
-        if inv_d:
-            g = g - inv_d * self.lf_batch(u) ** 2
-        return g
-
     # -- value and gradient for the quasi-Newton descent ------------------------
 
-    def _pieces(self, z: np.ndarray):
-        u = z[: self.m1]
-        w = z[self.m1 :]
-        upv = ups_prime(u)
-        eu = np.exp(u)
-        lf = float(self.c @ u)
-        psi = float(self.c @ ups(u))
-        dpsi = self.c * upv
-
-        n2 = float(self.x_coef @ (ups(-u) + upv * u))
-        grad_u = self.x_coef * (-ups_prime(-u) + eu * u + upv)
-        if len(self.e_coef):
-            d = u[self.e_a] - u[self.e_y]
-            n2 += float(self.e_coef @ (ups(d) - upv[self.e_y] * d))
-            upd = ups_prime(d)
-            np.add.at(grad_u, self.e_a, self.e_coef * (upd - upv[self.e_y]))
-            np.add.at(
-                grad_u,
-                self.e_y,
-                self.e_coef * (-upd - eu[self.e_y] * d + upv[self.e_y]),
-            )
-        grad_w = np.zeros(self.m2)
-        if len(self.sh_coef):
-            d = w[self.sh_b] - u[self.sh_y]
-            n2 += float(self.sh_coef @ (ups(d) - upv[self.sh_y] * d))
-            upd = ups_prime(d)
-            np.add.at(grad_w, self.sh_b, self.sh_coef * (upd - upv[self.sh_y]))
-            np.add.at(
-                grad_u,
-                self.sh_y,
-                self.sh_coef * (-upd - eu[self.sh_y] * d + upv[self.sh_y]),
-            )
-        n2 -= float(self.priv_coef @ omega(u))
-        grad_u -= self.priv_coef * omega_prime(u)
-        s = float(self.c @ upv)
-        n2 += s * lf
-        grad_u += self.c * eu * lf + s * self.c
-        n2 -= self.m1x * psi
-        grad_u -= self.m1x * dpsi
-        return u, lf, psi, dpsi, n2, grad_u, grad_w
-
     def ratio_value_grad(self, z: np.ndarray):
-        _, _, psi, dpsi, n2, gu, gw = self._pieces(np.asarray(z, dtype=float))
+        _, psi, two_psi2, dpsi, g = self._objective(z, grad=True)
         if psi < 1e-300:
             return 1e100, np.zeros(self.dim)
-        val = n2 / (2.0 * psi)
-        grad = np.concatenate([gu, gw]) / (2.0 * psi)
+        val = two_psi2 / (2.0 * psi)
+        grad = g / (2.0 * psi)
         grad[: self.m1] -= val * dpsi / psi
         return val, grad
 
     def check_value_grad(self, z: np.ndarray, kappa: float, inv_d: float = 0.0):
-        _, lf, psi, dpsi, n2, gu, gw = self._pieces(np.asarray(z, dtype=float))
-        val = 0.5 * n2 - kappa * psi
-        grad = 0.5 * np.concatenate([gu, gw])
+        lf, psi, two_psi2, dpsi, g = self._objective(z, grad=True)
+        val = 0.5 * two_psi2 - kappa * psi
+        grad = 0.5 * g
         grad[: self.m1] -= kappa * dpsi
         if inv_d:
             val -= inv_d * lf * lf
@@ -312,10 +265,8 @@ class VertexProblem:
         """Full field realizing the reduced point (private sphere at argmin)."""
         z = np.asarray(z, dtype=float)
         f = np.zeros(self.chain.n)
-        f[self.s1] = z[: self.m1]
-        f[self.s2_shared] = z[self.m1 : self.dim]
-        if len(self._pr_z):
-            f[self._pr_z] = 2.0 * z[: self.m1][self._pr_y]
+        f[self.ball[: self.dim]] = z[: self.dim]
+        f[self.s2_private] = 2.0 * z[self.src[self._n_red :]]
         return f
 
     def probe_points(self, taus) -> list:
@@ -354,45 +305,22 @@ def bakry_emery_kappa(chain: MarkovChain, x: int):
     """
     prob = VertexProblem(chain, x)
     m1 = prob.m1
-    s2_all = sorted(set(prob.s2_shared) | set(prob.s2_private))
-    posb = {z: i for i, z in enumerate(s2_all)}
-    m2 = len(s2_all)
-
-    quu = np.zeros((m1, m1))
-    quv = np.zeros((m1, m2))
-    qvv = np.zeros(m2)
-    # z = x contributions: c_y k(y,x) (0 - 2u_y)^2
-    quu[np.diag_indices(m1)] += 4.0 * prob.x_coef
-    # z in S1: c_y k(y,a) (u_a - 2u_y)^2
-    for iy, ia, coef in zip(prob.e_y, prob.e_a, prob.e_coef):
-        quu[ia, ia] += coef
-        quu[iy, iy] += 4.0 * coef
-        quu[ia, iy] -= 2.0 * coef
-        quu[iy, ia] -= 2.0 * coef
-    # z in S2: c_y k(y,z) (w_z - 2u_y)^2
-    pairs = list(zip(prob.sh_y, [prob.s2_shared[b] for b in prob.sh_b], prob.sh_coef))
-    pairs += list(zip(prob._pr_y, prob._pr_z, prob._pr_coef))
-    for iy, z, coef in pairs:
-        ib = posb[int(z)]
-        qvv[ib] += coef
-        quu[iy, iy] += 4.0 * coef
-        quv[iy, ib] -= 2.0 * coef
+    # column e of `a` is f(z) - 2 u_y on edge e, over the raw columns
+    a = prob.diff.copy()
+    a[prob.src, np.arange(len(prob.src))] -= 1.0
+    q = (a * prob.coef) @ a.T
+    quu, quv, qvv = q[:m1, :m1], q[:m1, m1:], np.diag(q)[m1:]
     # -sum_y c_y M1(y) u_y^2 + 2 (Lf)^2 - M1(x) sum c_y u_y^2
-    m1_nb = chain.m1[prob.s1]
-    quu[np.diag_indices(m1)] -= prob.c * m1_nb + prob.m1x * prob.c
+    quu[np.diag_indices(m1)] -= prob.c * chain.m1[prob.s1] + prob.m1x * prob.c
     quu += 2.0 * np.outer(prob.c, prob.c)
-
-    if m2:
-        quu = quu - (quv / qvv) @ quv.T
+    quu = quu - (quv / qvv) @ quv.T
     b = 2.0 * np.diag(prob.c)
     vals, vecs = scipy.linalg.eigh(quu, b)
     kappa = float(vals[0])
     u = vecs[:, 0]
     f = np.zeros(chain.n)
     f[prob.s1] = u
-    if m2:
-        wv = -(quv.T @ u) / qvv
-        f[np.array(s2_all, dtype=np.intp)] = wv
+    f[prob.ball[m1:]] = -(quv.T @ u) / qvv
     return kappa, f
 
 
@@ -473,15 +401,14 @@ def _multistart(prob, fun, opts: CurvatureOptions, rng):
 def _ray_polish(prob: VertexProblem, z: np.ndarray, val: float):
     """Scan the ray s*z for s -> 0; picks up infima attained in the
     small-field (quadratic-calculus) limit."""
-    best_z, best_val = z, val
     if not np.any(z):
-        return best_z, best_val
-    for k in range(1, 50):
-        zs = z * 0.5**k
-        v = float(prob.ratio_batch(zs[None, :])[0])
-        if v < best_val:
-            best_val, best_z = v, zs
-    return best_z, best_val
+        return z, val
+    zs = z * 0.5 ** np.arange(1, 50)[:, None]
+    v = prob.ratio_batch(zs)
+    k = int(np.argmin(v))
+    if v[k] < val:
+        return zs[k], float(v[k])
+    return z, val
 
 
 def _rng_for(opts: CurvatureOptions, x: int):
@@ -569,7 +496,7 @@ def cd_upsilon_dim_check(
 
     fun = lambda z: prob.check_value_grad(z, kappa, inv_d)
     z, val, diag = _multistart(prob, fun, opts, rng)
-    magnitude = prob.check_magnitude_batch(z[None, :], kappa, inv_d)[0]
+    magnitude = prob.check_magnitude_batch(z, kappa, inv_d)
     tol = float(_ROUNDING_ULPS * np.finfo(float).eps * magnitude)
     holds = val >= -tol
     return CheckResult(
@@ -598,9 +525,7 @@ def cd_p_check(
     prob = VertexProblem(chain, x)
     rng = _rng_for(opts, x)
     tol = opts.tol_slack * _slack_scale(prob)
-    ball = np.concatenate(
-        [prob.s1, prob.s2_shared, prob.s2_private.astype(np.intp)]
-    ).astype(np.intp)
+    ball = prob.ball
     fac = kappa / (2.0 - p)
 
     def objective(g_ball):
@@ -726,7 +651,7 @@ def divergence_certificate(chain: MarkovChain, x: int, threshold: float):
     (tau_star, y1, witness) with ratio(tau_star) < threshold, else None.
     """
     prob = VertexProblem(chain, x)
-    if len(prob.e_coef) or prob.m2:
+    if np.any((prob.tgt >= 0) & (prob.tgt < prob.m1)) or prob.m2:
         return None
     best = None
     for y1 in divergence_candidates(chain, x):
@@ -887,7 +812,7 @@ def check_grid_oracle_raw(
     prob = VertexProblem(chain, x)
     inv_d = 0.0 if math.isinf(d) else 1.0 / d
     axes = [np.arange(lo, hi + step / 2, step)] * prob.raw_dim
-    fun = lambda zz: prob.check_batch_raw(zz, kappa, inv_d)
+    fun = lambda zz: prob.check_batch(zz, kappa, inv_d)
     best_val, best_z = np.inf, None
     for z, v in _mesh_scan(fun, axes):
         if v < best_val:
@@ -895,11 +820,8 @@ def check_grid_oracle_raw(
     holds = best_val >= -tol
     counter = None
     if not holds:
-        f = np.zeros(chain.n)
-        f[prob.s1] = best_z[: prob.m1]
-        f[prob.s2_shared] = best_z[prob.m1 : prob.dim]
-        f[prob.s2_private] = best_z[prob.dim :]
-        counter = f
+        counter = np.zeros(chain.n)
+        counter[prob.ball] = best_z
     return CheckResult(holds, float(best_val), counter, {"grid_step": step})
 
 
@@ -993,10 +915,9 @@ def _vertex_record(chain: MarkovChain, x: int, opts: CurvatureOptions) -> dict:
     slack = 0.0
     if not est.minus_infinity:
         prob = VertexProblem(chain, x)
-        z = np.concatenate([witness[prob.s1], witness[prob.s2_shared]])
-        psi = float(prob.psi_batch(np.atleast_2d(z[: prob.m1]))[0])
+        _, psi, two_psi2 = prob._objective(witness[prob.ball[: prob.dim]])
         if psi > 0:
-            slack = float(prob.check_batch(z[None, :], est.kappa)[0])
+            slack = float(0.5 * two_psi2 - est.kappa * psi)
     return {
         "vertex": x,
         "state": chain.states[x],

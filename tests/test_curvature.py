@@ -66,23 +66,68 @@ class TestVertexProblem:
                 z = rng.normal(size=prob.dim) * 1.5
                 f = prob.field_from(z)
                 f_shift = f + 0.7  # ratio invariant under constants
+                _, psi_red, two_psi2 = prob._objective(z)
                 direct = op.psi2_upsilon(chain, f_shift)[x]
-                red = 0.5 * float(prob.two_psi2_batch(*prob.split(z[None, :]))[0])
-                assert red == pytest.approx(direct, rel=1e-11, abs=1e-12)
+                assert 0.5 * two_psi2 == pytest.approx(direct, rel=1e-11, abs=1e-12)
                 psi_direct = op.psi_upsilon(chain, f_shift)[x]
-                psi_red = float(prob.psi_batch(np.atleast_2d(z[: prob.m1]))[0])
                 assert psi_red == pytest.approx(psi_direct, rel=1e-12, abs=1e-13)
 
-    def test_gradients_match_finite_differences(self, rng):
-        chain = random_reversible_chain(rng, 6)
-        prob = cv.VertexProblem(chain, 0)
-        for _ in range(10):
-            z = rng.normal(size=prob.dim)
-            for fun in (
-                prob.ratio_value_grad,
-                lambda zz: prob.check_value_grad(zz, 0.7, 0.25),
+    def test_private_reduction_is_the_inner_minimum(self, rng):
+        # the raw check over explicit private values is never below the
+        # reduced check, and equals it at private = 2 u_y
+        tested = 0
+        for chain in (branched_tree5(), random_reversible_chain(rng, 8, p_edge=0.2)):
+            for x in range(chain.n):
+                prob = cv.VertexProblem(chain, x)
+                n_priv = prob.raw_dim - prob.dim
+                if not n_priv:
+                    continue
+                tested += 1
+                z = rng.normal(size=(20, prob.dim)) * 1.5
+                reduced = prob.check_batch(z, 0.7, 0.25)
+                rounding = 1e-13 * prob.check_magnitude_batch(z, 0.7, 0.25)
+                free = np.hstack([z, rng.normal(size=(20, n_priv)) * 3.0])
+                assert np.all(prob.check_batch(free, 0.7, 0.25) >= reduced - rounding)
+                # the raw form is the operator pipeline at any private values
+                for row in free[:5]:
+                    f = np.zeros(chain.n)
+                    f[prob.ball] = row
+                    assert 0.5 * prob._objective(row)[2] == pytest.approx(
+                        op.psi2_upsilon(chain, f)[x], rel=1e-11, abs=1e-12
+                    )
+                at_min = np.array([prob.field_from(row)[prob.ball] for row in z])
+                np.testing.assert_allclose(
+                    prob.check_batch(at_min, 0.7, 0.25), reduced, rtol=1e-12
+                )
+        assert tested >= 2
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "tree_private_edges",  # edges into x and private S2 only
+            "complete_s1_edges",  # edges inside S1
+            "hypercube_shared_s2",  # shared S2
+            "random_weighted",
+        ],
+    )
+    def test_gradients_match_finite_differences(self, rng, case):
+        chain, x = {
+            "tree_private_edges": lambda: (branched_tree5(), 2),
+            "complete_s1_edges": lambda: (ch.complete(5), 0),
+            "hypercube_shared_s2": lambda: (ch.hypercube(3), 0),
+            "random_weighted": lambda: (random_reversible_chain(rng, 6), 0),
+        }[case]()
+        prob = cv.VertexProblem(chain, x)
+        zs = rng.normal(size=(10, prob.dim))
+        ratios = prob.ratio_batch(zs)
+        checks = prob.check_batch(zs, 0.7, 0.25)
+        for z, ratio, check in zip(zs, ratios, checks):
+            for fun, batch_val in (
+                (prob.ratio_value_grad, ratio),
+                (lambda zz: prob.check_value_grad(zz, 0.7, 0.25), check),
             ):
                 val, grad = fun(z)
+                assert val == pytest.approx(batch_val, rel=1e-13)
                 for i in range(prob.dim):
                     h = 1e-6
                     zp, zm = z.copy(), z.copy()
