@@ -239,25 +239,36 @@ class VertexProblem:
         return acc + inv_d * lf_abs**2
 
     # -- value and gradient for the quasi-Newton descent ------------------------
+    # The _*_vg forms work over the last axis of z; the public 1-D forms are
+    # what a single L-BFGS-B descent calls.
 
-    def ratio_value_grad(self, z: np.ndarray):
+    def _ratio_vg(self, z: np.ndarray):
         _, psi, two_psi2, dpsi, g = self._objective(z, grad=True)
-        if psi < 1e-300:
-            return 1e100, np.zeros(self.dim)
-        val = two_psi2 / (2.0 * psi)
-        grad = g / (2.0 * psi)
-        grad[: self.m1] -= val * dpsi / psi
-        return val, grad
+        flat = psi < 1e-300
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = two_psi2 / (2.0 * psi)
+            grad = g / (2.0 * psi[..., None])
+            grad[..., : self.m1] -= val[..., None] * dpsi / psi[..., None]
+        grad[flat] = 0.0
+        return np.where(flat, 1e100, val), grad
 
-    def check_value_grad(self, z: np.ndarray, kappa: float, inv_d: float = 0.0):
+    def _check_vg(self, z: np.ndarray, kappa: float, inv_d: float = 0.0):
         lf, psi, two_psi2, dpsi, g = self._objective(z, grad=True)
         val = 0.5 * two_psi2 - kappa * psi
         grad = 0.5 * g
-        grad[: self.m1] -= kappa * dpsi
+        grad[..., : self.m1] -= kappa * dpsi
         if inv_d:
-            val -= inv_d * lf * lf
-            grad[: self.m1] -= 2.0 * inv_d * lf * self.c
+            val = val - inv_d * lf * lf
+            grad[..., : self.m1] -= 2.0 * inv_d * lf[..., None] * self.c
         return val, grad
+
+    def ratio_value_grad(self, z: np.ndarray):
+        val, grad = self._ratio_vg(z)
+        return float(val), grad
+
+    def check_value_grad(self, z: np.ndarray, kappa: float, inv_d: float = 0.0):
+        val, grad = self._check_vg(z, kappa, inv_d)
+        return float(val), grad
 
     # -- embedding back into a full field ---------------------------------------
 
@@ -366,36 +377,184 @@ def _start_points(prob: VertexProblem, opts: CurvatureOptions, rng) -> list:
     return pts
 
 
-def _multistart(prob, fun, opts: CurvatureOptions, rng):
-    """Run L-BFGS-B from every start; returns (best_z, best_val, diagnostics)."""
-    bounds = [(-opts.bound, opts.bound)] * prob.dim
-    best_z, best_val = None, np.inf
-    n_fail = 0
-    starts = _start_points(prob, opts, rng)
-    for z0 in starts:
-        res = scipy.optimize.minimize(
-            fun,
-            z0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options=dict(maxiter=opts.maxiter, ftol=2.5e-15, gtol=1e-10),
-        )
-        val = float(res.fun)
-        if not np.isfinite(val):
-            n_fail += 1
-            continue
-        if val < best_val:
-            best_val, best_z = val, res.x.copy()
-        if best_val < opts.minus_inf_threshold:
+# Convergence thresholds of the descent, the same for the lockstep rows and
+# for L-BFGS-B (gtol, ftol): max-norm of the projected gradient, and the
+# relative decrease of one step.
+_GTOL = 1e-10
+_FTOL = 2.5e-15
+_ARMIJO = 1e-4
+# Backtracking steps tried, all at once, when the full step fails Armijo.
+_LADDER = 0.5 ** np.arange(1, 31)
+# Rows times second-step edges per kernel call of the ladder: bounds each
+# temporary of the call at 2 MB on large two-balls.
+_BLOCK_ELEMENTS = 2**18
+# How a start ended; _ACTIVE rows were left running by the -inf stop.
+_ACTIVE, _CONVERGED, _HANDOFF, _FAIL = range(4)
+
+
+def _lbfgsb(fun, z0, opts: CurvatureOptions):
+    return scipy.optimize.minimize(
+        fun,
+        z0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(-opts.bound, opts.bound)] * len(z0),
+        options=dict(maxiter=opts.maxiter, ftol=_FTOL, gtol=_GTOL),
+    )
+
+
+def _below_threshold(f, status, opts: CurvatureOptions) -> bool:
+    return bool(np.any(f[status != _FAIL] < opts.minus_inf_threshold))
+
+
+def _armijo(z0, f0, g0, z1, f1, g1) -> np.ndarray:
+    """Whether each step z0 -> z1 (over the last axis) decreases enough."""
+    bound = f0 + _ARMIJO * np.einsum("...i,...i->...", g0, z1 - z0)
+    return np.isfinite(f1) & (f1 <= bound) & np.isfinite(g1).all(axis=-1)
+
+
+def _in_blocks(batch_fun, z, block: int):
+    """batch_fun over the rows of z, at most ``block`` rows per call."""
+    if len(z) <= block:
+        return batch_fun(z)
+    parts = [batch_fun(z[i : i + block]) for i in range(0, len(z), block)]
+    return tuple(np.concatenate(out) for out in zip(*parts))
+
+
+def _line_search(batch_fun, z, f, g, p, lo, hi, block: int):
+    """Armijo backtracking from the rows z along p, clipped to [lo, hi].
+
+    Tries the full step for every row, then the whole ladder _LADDER for
+    the rows that failed, in one call (or in calls of at most ``block``
+    rows). Returns (ok, step, z1, f1, g1):
+    ``step`` is the unclipped point the accepted ``z1`` was clipped from.
+    """
+    step = z + p
+    z1 = np.clip(step, lo, hi)
+    f1, g1 = batch_fun(z1)
+    ok = _armijo(z, f, g, z1, f1, g1)
+    back = np.flatnonzero(~ok)
+    if back.size:
+        steps = z[back, None] + _LADDER[:, None] * p[back, None]
+        zl = np.clip(steps, lo, hi)
+        fl, gl = _in_blocks(batch_fun, zl.reshape(-1, z.shape[1]), block)
+        fl, gl = fl.reshape(zl.shape[:2]), gl.reshape(zl.shape)
+        okl = _armijo(z[back, None], f[back, None], g[back, None], zl, fl, gl)
+        rows = np.flatnonzero(okl.any(axis=1))
+        k = np.argmax(okl[rows], axis=1)  # the longest step that passes
+        hit = back[rows]
+        step[hit], z1[hit] = steps[rows, k], zl[rows, k]
+        f1[hit], g1[hit] = fl[rows, k], gl[rows, k]
+        ok[hit] = True
+    return ok, step, z1, f1, g1
+
+
+def _bfgs_update(h, s, y, sy, fresh):
+    """BFGS update of the inverse Hessians ``h`` by the steps s and
+    gradient changes y (sy = s.y > 0), row by row; a ``fresh`` row is first
+    set to (s.y)/(y.y) times the identity."""
+    yy = np.einsum("ri,ri->r", y, y)
+    h[fresh] = (sy / yy)[fresh, None, None] * np.eye(h.shape[1])
+    hy = np.einsum("rij,rj->ri", h, y)
+    rho = (1.0 / sy)[:, None, None]
+    yhy = np.einsum("ri,ri->r", y, hy)[:, None, None]
+    hys = hy[:, :, None] * s[:, None, :]
+    ss = s[:, :, None] * s[:, None, :]
+    return h - rho * (hys + hys.transpose(0, 2, 1)) + (rho * rho * yhy + rho) * ss
+
+
+def _lockstep(batch_fun, z, opts: CurvatureOptions, block: int):
+    """Projected BFGS from every row of ``z`` at once.
+
+    Each iteration makes one batched value+gradient call for the active
+    rows, plus one for the backtracking ladder (_line_search). A row
+    converges on the projected-gradient or the relative-decrease rule
+    (_GTOL, _FTOL); it is handed off to L-BFGS-B when its accepted step was
+    clipped by the box, when no ladder step satisfies Armijo, or at
+    ``opts.maxiter``; it fails when its start value is not finite. Stops
+    early once a row falls below ``opts.minus_inf_threshold``. ``block``
+    caps the rows of one ladder call. Returns
+    (z, values, status), status per row one of _ACTIVE ... _FAIL.
+    """
+    lo, hi = -opts.bound, opts.bound
+    n, dim = z.shape
+    z = z.copy()
+    f, g = batch_fun(z)
+    status = np.where(np.isfinite(f), _ACTIVE, _FAIL)
+    status[(status == _ACTIVE) & ~np.isfinite(g).all(axis=1)] = _HANDOFF
+    h = np.tile(np.eye(dim), (n, 1, 1))
+    fresh = np.ones(n, dtype=bool)  # h is still the unscaled identity
+    for it in range(opts.maxiter + 1):
+        if _below_threshold(f, status, opts):
             break
-    if best_z is None:
-        raise NonConvergence(
-            "no start converged to a finite value",
-            diagnostics={"n_starts": len(starts), "n_fail": n_fail},
-        )
-    diag = {"n_starts": len(starts), "n_fail": n_fail, "best_val": best_val}
-    return best_z, best_val, diag
+        act = np.flatnonzero(status == _ACTIVE)
+        pg = np.abs(np.clip(z[act] - g[act], lo, hi) - z[act]).max(axis=1)
+        status[act[pg <= _GTOL]] = _CONVERGED
+        act = act[pg > _GTOL]
+        if it == opts.maxiter:
+            status[act] = _HANDOFF
+        if not act.size or it == opts.maxiter:
+            break
+        za, fa, ga = z[act], f[act], g[act]
+        p = -np.einsum("rij,rj->ri", h[act], ga)
+        # with the unscaled identity, cap the step at unit length
+        first = fresh[act]
+        p[first] /= np.maximum(1.0, np.linalg.norm(ga[first], axis=1))[:, None]
+        ok, step, zt, ft, gt = _line_search(batch_fun, za, fa, ga, p, lo, hi, block)
+        status[act[~ok]] = _HANDOFF
+        act, za, fa, ga = act[ok], za[ok], fa[ok], ga[ok]
+        zt, ft, gt = zt[ok], ft[ok], gt[ok]
+        clipped = np.any(zt != step[ok], axis=1)
+        rel = (fa - ft) / np.maximum(np.maximum(np.abs(fa), np.abs(ft)), 1.0)
+        status[act[clipped]] = _HANDOFF
+        status[act[~clipped & (rel <= _FTOL)]] = _CONVERGED
+        z[act], f[act], g[act] = zt, ft, gt
+        s_, y_ = zt - za, gt - ga
+        sy = np.einsum("ri,ri->r", s_, y_)
+        # update only where the curvature s.y is positive
+        upd = sy > np.finfo(float).eps * np.einsum("ri,ri->r", y_, y_)
+        rows = act[upd]
+        h[rows] = _bfgs_update(h[rows], s_[upd], y_[upd], sy[upd], fresh[rows])
+        fresh[rows] = False
+    return z, f, status
+
+
+def _multistart(prob, batch_fun, fun, opts: CurvatureOptions, rng):
+    """Minimize from every start; returns (best_z, best_val, diagnostics).
+
+    ``batch_fun`` gives value and gradient over the rows of a 2-D z, ``fun``
+    the same for one point. All starts descend in lockstep (_lockstep);
+    each handed-off row is finished by one L-BFGS-B descent from where it
+    stopped, and a winner that converged in lockstep gets one L-BFGS-B
+    polish. The diagnostics count how each start ended: ``n_converged`` in
+    lockstep, ``n_handoff`` to L-BFGS-B, ``n_fail`` at a non-finite start;
+    rows left running by the ``minus_inf_threshold`` stop count in none.
+    """
+    starts = np.array(_start_points(prob, opts, rng))
+    block = max(1, _BLOCK_ELEMENTS // len(prob.coef))
+    z, f, status = _lockstep(batch_fun, starts, opts, block)
+    diag = {
+        "n_starts": len(starts),
+        "n_fail": int(np.sum(status == _FAIL)),
+        "n_converged": int(np.sum(status == _CONVERGED)),
+        "n_handoff": int(np.sum(status == _HANDOFF)),
+    }
+    for i in np.flatnonzero(status == _HANDOFF):
+        if _below_threshold(f, status, opts):
+            break
+        res = _lbfgsb(fun, z[i], opts)
+        if res.fun < f[i]:
+            z[i], f[i] = res.x, res.fun
+    finite = np.flatnonzero(status != _FAIL)
+    if not finite.size:
+        raise NonConvergence("no start converged to a finite value", diagnostics=diag)
+    best = finite[np.argmin(f[finite])]
+    if status[best] == _CONVERGED and not _below_threshold(f, status, opts):
+        res = _lbfgsb(fun, z[best], opts)
+        if res.fun < f[best]:
+            z[best], f[best] = res.x, res.fun
+    best_val = float(f[best])
+    return z[best].copy(), best_val, dict(diag, best_val=best_val)
 
 
 def _ray_polish(prob: VertexProblem, z: np.ndarray, val: float):
@@ -438,7 +597,7 @@ def cd_upsilon_kappa(
 
     prob = VertexProblem(chain, x)
     rng = _rng_for(opts, x)
-    z, val, diag = _multistart(prob, prob.ratio_value_grad, opts, rng)
+    z, val, diag = _multistart(prob, prob._ratio_vg, prob.ratio_value_grad, opts, rng)
     if val < opts.minus_inf_threshold:
         return VertexEstimate(x, float("-inf"), prob.field_from(z), diag)
     z, val = _ray_polish(prob, z, val)
@@ -494,8 +653,13 @@ def cd_upsilon_dim_check(
     prob = VertexProblem(chain, x)
     rng = _rng_for(opts, x)
 
-    fun = lambda z: prob.check_value_grad(z, kappa, inv_d)
-    z, val, diag = _multistart(prob, fun, opts, rng)
+    z, val, diag = _multistart(
+        prob,
+        lambda z: prob._check_vg(z, kappa, inv_d),
+        lambda z: prob.check_value_grad(z, kappa, inv_d),
+        opts,
+        rng,
+    )
     magnitude = prob.check_magnitude_batch(z, kappa, inv_d)
     tol = float(_ROUNDING_ULPS * np.finfo(float).eps * magnitude)
     holds = val >= -tol

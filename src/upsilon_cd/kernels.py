@@ -43,32 +43,35 @@ __all__ = [
 _SERIES_CUT = 0.03
 
 # ups(r) / (r^2/2) = sum_{j>=0} 2 r^j / (j+2)!
-_UPS_COEF = np.array(
-    [1.0, 1 / 3, 1 / 12, 1 / 60, 1 / 360, 1 / 2520, 1 / 20160, 1 / 181440]
-)
+_UPS_COEF = (1.0, 1 / 3, 1 / 12, 1 / 60, 1 / 360, 1 / 2520, 1 / 20160, 1 / 181440)
 # omega(r) / (r^2/2) = sum_{j>=0} 2 (j+1) r^j / (j+2)!
-_OMEGA_COEF = np.array(
-    [1.0, 2 / 3, 1 / 4, 1 / 15, 1 / 72, 1 / 420, 1 / 2880, 1 / 22680]
-)
+_OMEGA_COEF = (1.0, 2 / 3, 1 / 4, 1 / 15, 1 / 72, 1 / 420, 1 / 2880, 1 / 22680)
 
 
-def _poly(coef: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _poly(coef: tuple, r: np.ndarray) -> np.ndarray:
     out = np.full_like(r, coef[-1])
     for c in coef[-2::-1]:
         out = out * r + c
     return out
 
 
+def _with_series(direct: np.ndarray, r: np.ndarray, coef: tuple):
+    """``direct`` with the elements |r| <= _SERIES_CUT replaced by the
+    series r^2/2 * poly(coef, r); the series runs on those elements only."""
+    out = np.asarray(direct)
+    small = np.abs(r) <= _SERIES_CUT
+    if small.any():
+        rs = r[small]
+        out[small] = 0.5 * rs * rs * _poly(coef, rs)
+    return out if out.ndim else float(out)
+
+
 def ups(r):
     """exp(r) - 1 - r, computed without cancellation near 0."""
     r = np.asarray(r, dtype=float)
-    small = np.abs(r) <= _SERIES_CUT
-    rs = np.where(small, r, 0.0)
-    series = 0.5 * rs * rs * _poly(_UPS_COEF, rs)
     with np.errstate(over="ignore"):
-        direct = np.expm1(np.where(small, 0.0, r)) - np.where(small, 0.0, r)
-    out = np.where(small, series, direct)
-    return out if out.ndim else float(out)
+        direct = np.expm1(r) - r
+    return _with_series(direct, r, _UPS_COEF)
 
 
 def ups_prime(r):
@@ -80,14 +83,9 @@ def ups_prime(r):
 def omega(r):
     """r ups'(r) - ups(r) = r e^r - e^r + 1; positive for r != 0."""
     r = np.asarray(r, dtype=float)
-    small = np.abs(r) <= _SERIES_CUT
-    rs = np.where(small, r, 0.0)
-    series = 0.5 * rs * rs * _poly(_OMEGA_COEF, rs)
-    rb = np.where(small, 0.0, r)
     with np.errstate(over="ignore"):
-        direct = np.expm1(rb) * (rb - 1.0) + rb
-    out = np.where(small, series, direct)
-    return out if out.ndim else float(out)
+        direct = np.expm1(r) * (r - 1.0) + r
+    return _with_series(direct, r, _OMEGA_COEF)
 
 
 def omega_prime(r):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -201,6 +202,30 @@ class TestCdUpsilonKappa:
         est = cv.cd_upsilon_kappa(ch.complete(n), 0)
         assert est.kappa == pytest.approx(expect, abs=1e-7)
 
+    @pytest.mark.parametrize(
+        "opts",
+        [replace(FAST, seed=5), cv.CurvatureOptions(seed=3)],
+        ids=["fast_seed5", "default_seed3"],
+    )
+    def test_single_start_basin(self, opts):
+        # only one of 64 L-BFGS-B starts reaches this basin, through the box;
+        # the others settle at 3.456 or above
+        rng = np.random.default_rng([77, 4])
+        chain = random_reversible_chain(rng, int(rng.integers(5, 9)))
+        est = cv.cd_upsilon_kappa(chain, 2, opts)
+        assert est.kappa == pytest.approx(-3.1740371704462, abs=1e-9)
+
+    @pytest.mark.parametrize("check", [False, True], ids=["ratio", "check"])
+    def test_every_start_is_counted_once(self, check):
+        k4 = ch.complete(4)
+        if check:
+            diag = cv.cd_upsilon_check(k4, 2.0, 0).diagnostics
+        else:
+            diag = cv.cd_upsilon_kappa(k4, 0).diagnostics
+        counts = diag["n_converged"], diag["n_handoff"], diag["n_fail"]
+        assert sum(counts) == diag["n_starts"] == cv.DEFAULT_OPTIONS.starts
+        assert diag["n_converged"] > 0
+
     def test_branched_tree_minus_infinity(self):
         tree = branched_tree5()
         est2 = cv.cd_upsilon_kappa(tree, 2, FAST)
@@ -302,6 +327,20 @@ class TestChecks:
         f = res.counterexample
         ratio = op.psi2_upsilon(win, f)[2] / op.psi_upsilon(win, f)[2]
         assert ratio < 1.01 * est.kappa
+
+    def test_violation_beside_the_trivial_minimum_is_reported(self):
+        # slack 0 at f = 0 pulls starts in; a descent that stops there
+        # answers holds=True (slack 1.4e-25) although the ratio is 1.2551
+        # below kappa
+        rng = np.random.default_rng([77, 3])
+        chain = random_reversible_chain(rng, int(rng.integers(5, 9)))
+        est = cv.cd_upsilon_kappa(chain, 1, replace(FAST, seed=5))
+        assert est.kappa == pytest.approx(1.2551170, abs=1e-6)
+        kappa = est.kappa + 1e-3
+        res = cv.cd_upsilon_check(chain, kappa, 1, cv.CurvatureOptions(seed=5, starts=24))
+        assert res.holds is False
+        f = res.counterexample
+        assert op.psi2_upsilon(chain, f)[1] / op.psi_upsilon(chain, f)[1] < kappa
 
     def test_very_negative_kappa_holds(self):
         assert cv.cd_upsilon_check(ch.complete(3), -1e9, 0, FAST).holds

@@ -84,6 +84,22 @@ def mp_omega(r):
     return float(r * mpmath.e**r - mpmath.e**r + 1)
 
 
+@pytest.mark.parametrize("fn", [ups, omega], ids=["ups", "omega"])
+def test_array_matches_scalar_across_series_cut(fn):
+    # the series and the direct form are picked per element; an array that
+    # mixes both, including elements on the cut at +-0.03, must give each
+    # element the value of the scalar call
+    r = np.array(
+        [0.0, 1e-9, -0.01, 0.0299, 0.03, 0.0301, -0.03, -0.0301, 0.5, -7.0, 700.0]
+    )
+    out = fn(r)
+    assert out.shape == r.shape
+    for i, ri in enumerate(r):
+        assert out[i] == fn(float(ri))
+    assert fn(r.reshape(1, -1)).shape == (1, r.size)
+    assert isinstance(fn(0.01), float) and isinstance(fn(2.0), float)
+
+
 def test_omega_prime():
     for r in (-2.0, -0.1, 0.0, 0.3, 4.0):
         h = 1e-6
