@@ -184,6 +184,7 @@ def cmd_flow(args) -> int:
     summary = {
         "n_times": len(trace.times),
         "grid_step": h,
+        "method": trace.method,
         "mass_error": float(
             np.max(np.abs(trace.densities @ chain.pi - 1.0))
         ),
@@ -220,6 +221,14 @@ def cmd_flow(args) -> int:
     return EXIT_OK if ok else EXIT_RESIDUAL
 
 
+def _worst_fields(report) -> dict:
+    """The worst sample's index and kind, when some sample gave a ratio."""
+    return {
+        k: report.details[k] for k in ("worst_index", "worst_kind")
+        if k in report.details
+    }
+
+
 def cmd_mlsi(args) -> int:
     chain = _resolve_chain(args.input)
     report = mlsi_check(chain, args.alpha, n_samples=args.samples, seed=args.seed)
@@ -229,7 +238,8 @@ def cmd_mlsi(args) -> int:
             "holds": report.holds,
             "worst_ratio": report.worst_ratio,
             "n_samples": report.n_samples,
-        },
+        }
+        | _worst_fields(report),
         args.out,
         ".mlsi.json",
     )
@@ -250,7 +260,8 @@ def cmd_beckner(args) -> int:
             "holds": report.holds,
             "worst_ratio": report.worst_ratio,
             "n_samples": report.n_samples,
-        },
+        }
+        | _worst_fields(report),
         args.out,
         ".beckner.json",
     )
@@ -283,7 +294,11 @@ def cmd_tensor(args) -> int:
 
 def _add_common(sp) -> None:
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--starts", type=int, default=64)
+    sp.add_argument(
+        "--starts", type=int, default=64,
+        help="minimum number of multistart starts; the fixed starts (8 "
+        "constants, 2 per reduced variable, 3 probes per neighbour) always run",
+    )
     sp.add_argument("--amplitude", type=float, default=40.0)
     sp.add_argument("--out", type=str, default=None)
 

@@ -56,7 +56,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CurvatureOptions:
-    """Optimizer configuration; the seed fixes every stochastic choice."""
+    """Optimizer configuration; the seed fixes every stochastic choice.
+
+    ``starts`` is a minimum. The multistart driver always runs 8 constant
+    starts, 2 per reduced variable and one probe point per neighbour and
+    probe tau, and tops up with random starts until it has ``starts``; so
+    ``complete(30)`` runs 153 starts at ``starts=64``.
+    """
 
     starts: int = 64
     amplitude: float = 40.0

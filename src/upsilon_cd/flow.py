@@ -17,6 +17,7 @@ from scipy.special import xlogy
 
 from .chains import MarkovChain
 from .errors import (
+    DimensionMismatch,
     GridTooCoarse,
     InvalidParameter,
     NonDensity,
@@ -64,20 +65,54 @@ __all__ = [
 
 _MASS_TOL = 1e-10
 _EXPM_MAX_N = 400
+# Stacked functionals run their rows in blocks of at most this many
+# rows x edges, so their edge-aligned temporaries do not grow with the stack.
+_BLOCK_ELEMENTS = 2**13
 
 
-def entropy(chain: MarkovChain, rho) -> float:
-    """Boltzmann entropy sum rho log rho pi, with 0 log 0 = 0."""
-    rho = _field(chain, rho)
-    if np.any(rho < 0.0):
+def _integral(chain: MarkovChain, v: np.ndarray):
+    """integral of v against pi, per row; np.vecdot sums each row in the
+    order ``chain.pi @ row`` does, so a stack row equals its own call."""
+    return np.vecdot(v, chain.pi)
+
+
+def _densities(chain: MarkovChain, rho, positive: bool = True) -> np.ndarray:
+    """A field (n,) or a stack (S, n) of fields, checked on every row; C
+    order, so each row is integrated as a contiguous row is on its own."""
+    rho = np.ascontiguousarray(_field(chain, rho, stack=True))
+    if rho.ndim > 2:
+        raise DimensionMismatch(f"expected (n,) or (S, n), got shape {rho.shape}")
+    if positive:
+        if np.any(rho <= 0.0):
+            raise NonPositiveField("field must be strictly positive")
+    elif np.any(rho < 0.0):
         raise NonPositiveField("density must be nonnegative")
-    return float(chain.pi @ xlogy(rho, rho))
+    return rho
 
 
-def fisher(chain: MarkovChain, rho) -> float:
-    """Fisher information: integral of rho Psi_Ups(log rho)."""
-    rho = _positive_field(chain, rho)
-    return float(chain.pi @ (rho * psi_upsilon(chain, np.log(rho))))
+def _by_rows(chain: MarkovChain, rho: np.ndarray, integrand):
+    """integral of integrand(rho) against pi: a float for a field, one value
+    per row for an (S, n) stack, evaluated in row blocks."""
+    if rho.ndim == 1:
+        return float(_integral(chain, integrand(rho)))
+    out = np.empty(len(rho))
+    step = max(1, _BLOCK_ELEMENTS // max(1, len(chain.edges[0])))
+    for i in range(0, len(rho), step):
+        out[i : i + step] = _integral(chain, integrand(rho[i : i + step]))
+    return out
+
+
+def entropy(chain: MarkovChain, rho):
+    """Boltzmann entropy sum rho log rho pi, with 0 log 0 = 0; a float for
+    a field (n,), an array for a stack (S, n)."""
+    rho = _densities(chain, rho, positive=False)
+    return _by_rows(chain, rho, lambda r: xlogy(r, r))
+
+
+def fisher(chain: MarkovChain, rho):
+    """Fisher information: integral of rho Psi_Ups(log rho); stacks too."""
+    rho = _densities(chain, rho)
+    return _by_rows(chain, rho, lambda r: r * psi_upsilon(chain, np.log(r)))
 
 
 def dirichlet_form(chain: MarkovChain, f, g) -> float:
@@ -105,6 +140,7 @@ class FlowTrace:
     Hp: np.ndarray | None = None
     Ip: np.ndarray | None = None
     d2Hp: np.ndarray | None = None
+    method: str = "expm"  # the propagator: "expm" or "rk"
 
     def to_csv(self) -> str:
         cols = ["t", "H", "I", "d2H"]
@@ -209,7 +245,7 @@ def heat_flow(
         )
         if not sol.success:
             raise PositivityLoss(f"integrator failed: {sol.message}")
-        dens = sol.y.T
+        dens = np.ascontiguousarray(sol.y.T)
     else:
         raise InvalidParameter(f"unknown method {method!r}")
 
@@ -217,22 +253,22 @@ def heat_flow(
         raise PositivityLoss(
             "a density component became nonpositive; tighten tolerances"
         )
-    H = np.array([entropy(chain, r) for r in dens])
-    I = np.array([fisher(chain, r) for r in dens])
-    d2H = np.array(
-        [
-            2.0 * float(chain.pi @ (r * psi2_upsilon(chain, np.log(r))))
-            for r in dens
-        ]
+    # Every channel is one stacked pass over the rows; d2H = 2 int rho
+    # Psi_2(log rho) and d2Hp = 2 int rho Psi_2^(p)(rho).
+    trace = FlowTrace(
+        chain,
+        times,
+        dens,
+        entropy(chain, dens),
+        fisher(chain, dens),
+        2.0 * _by_rows(chain, dens, lambda r: r * psi2_upsilon(chain, np.log(r))),
+        method=method,
     )
-    trace = FlowTrace(chain, times, dens, H, I, d2H)
     if p is not None:
         trace.p = p
-        trace.Hp = np.array([p_entropy(chain, p, r) for r in dens])
-        trace.Ip = np.array([p_fisher(chain, p, r) for r in dens])
-        trace.d2Hp = np.array(
-            [2.0 * float(chain.pi @ (r * psi2_p(chain, p, r))) for r in dens]
-        )
+        trace.Hp = p_entropy(chain, p, dens)
+        trace.Ip = p_fisher(chain, p, dens)
+        trace.d2Hp = 2.0 * _by_rows(chain, dens, lambda r: r * psi2_p(chain, p, r))
     return trace
 
 
@@ -303,51 +339,84 @@ class InequalityReport:
 
 def random_density(chain: MarkovChain, rng) -> np.ndarray:
     """Dirichlet-uniform random density with respect to the chain measure."""
-    q = rng.dirichlet(np.ones(chain.n))
+    return _random_densities(chain, rng, None)
+
+
+def _random_densities(chain: MarkovChain, rng, size) -> np.ndarray:
+    """``size`` random densities as an (size, n) stack; rng.dirichlet with
+    a size draws the same numbers as that many separate calls."""
+    q = rng.dirichlet(np.ones(chain.n), size=size)
     q = np.maximum(q, 1e-300)
     rho = q / chain.pi
-    return rho / float(chain.pi @ rho)
+    return rho / _integral(chain, rho)[..., None]
 
 
-def _tilt_densities(chain: MarkovChain, max_log_ratio: float = None):
-    """Adversarial exponential tilts of indicator and distance fields."""
+def _tilt_densities(chain: MarkovChain, max_log_ratio: float = None) -> np.ndarray:
+    """Adversarial exponential tilts of indicator and distance fields, as an
+    (m, n) stack: per field g of span > 0, exp(s g) normalized, for 8 slopes
+    s in [-1, 1], the two reaching mass ratio max_log_ratio, and +-1e-3,
+    +-1e-2."""
     if max_log_ratio is None:
         max_log_ratio = np.log(1e6)
-    fields = []
-    eye = np.eye(chain.n)
-    fields.extend(eye)
-    for v in range(min(chain.n, 4)):
-        dist = np.full(chain.n, np.inf)
-        dist[v] = 0
-        queue = [v]
-        while queue:
-            nxt = []
-            for aa in queue:
-                for b in chain.neighbors[aa]:
-                    b = int(b)
-                    if np.isinf(dist[b]):
-                        dist[b] = dist[aa] + 1
-                        nxt.append(b)
-            queue = nxt
-        fields.append(dist)
-    out = []
-    for g in fields:
-        span = float(np.max(g) - np.min(g))
-        if span == 0.0:
-            continue
-        for s in np.concatenate(
-            [np.linspace(-1, 1, 9), np.array([-1.0, 1.0]) * max_log_ratio / span]
-        ):
-            if s == 0.0:
-                continue
-            rho = np.exp(s * g)
-            rho = rho / float(chain.pi @ rho)
-            out.append(rho)
-        for s in (1e-3, -1e-3, 1e-2, -1e-2):
-            rho = np.exp(s * g)
-            rho = rho / float(chain.pi @ rho)
-            out.append(rho)
-    return out
+    src, dst, _ = chain.edges
+    k = min(chain.n, 4)
+    dist = np.full((k, chain.n), np.inf)  # BFS distances from vertices 0..k-1
+    dist[np.arange(k), np.arange(k)] = 0.0
+    d = 0.0
+    while True:
+        rows, e = np.nonzero(dist[:, src] == d)
+        fresh = np.isinf(dist[rows, dst[e]])
+        if not fresh.any():
+            break
+        d += 1.0
+        dist[rows[fresh], dst[e[fresh]]] = d
+    g = np.concatenate([np.eye(chain.n), dist])
+    span = np.max(g, axis=1) - np.min(g, axis=1)
+    g, span = g[span != 0.0], span[span != 0.0]
+    slopes = np.linspace(-1, 1, 9)
+    s = np.concatenate(
+        [
+            np.broadcast_to(slopes[slopes != 0.0], (len(g), 8)),
+            np.array([-1.0, 1.0]) * max_log_ratio / span[:, None],
+            np.broadcast_to([1e-3, -1e-3, 1e-2, -1e-2], (len(g), 4)),
+        ],
+        axis=1,
+    )
+    rho = np.exp(s[:, :, None] * g[:, None, :]).reshape(-1, chain.n)
+    return rho / _integral(chain, rho)[:, None]
+
+
+def _sampled_check(chain, n_samples, seed, ratio_of, details) -> InequalityReport:
+    """Worst ratio over n_samples random densities plus the tilts; samples
+    with a nonpositive denominator are skipped, and the first worst wins."""
+    rng = np.random.default_rng(seed)
+    samples = np.concatenate(
+        [_random_densities(chain, rng, n_samples), _tilt_densities(chain)]
+    )
+    ratio = ratio_of(samples)
+    # NaN never wins; the appended -inf stands in when no sample counts
+    ratio = np.append(np.where(ratio > -np.inf, ratio, -np.inf), -np.inf)
+    i = int(np.argmax(ratio))
+    worst = float(ratio[i])
+    found = worst > -np.inf
+    if found:
+        details = details | {
+            "worst_index": i,
+            "worst_kind": "random" if i < n_samples else "tilt",
+        }
+    return InequalityReport(
+        holds=bool(worst <= 1.0 + 1e-9),
+        worst_ratio=worst,
+        n_samples=len(samples),
+        worst_sample=samples[i] if found else None,
+        details=details,
+    )
+
+
+def _ratio(alpha: float, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """2 alpha num / den where den > 0, -inf elsewhere."""
+    ok = den > 0.0
+    return np.where(ok, 2.0 * alpha * num / np.where(ok, den, 1.0), -np.inf)
 
 
 def mlsi_check(
@@ -356,27 +425,18 @@ def mlsi_check(
     """Sampled check of H(rho) <= I(rho)/(2 alpha).
 
     Random Dirichlet densities plus adversarial near-degenerate tilts
-    (mass ratios up to 1e6); reports the worst ratio 2 alpha H / I.
+    (mass ratios up to 1e6); reports the worst ratio 2 alpha H / I, and in
+    ``details`` the index of the worst sample (random draws first, then
+    tilts) and its kind, "random" or "tilt".
     """
     if alpha <= 0:
         raise InvalidParameter("alpha must be positive")
-    rng = np.random.default_rng(seed)
-    samples = [random_density(chain, rng) for _ in range(n_samples)]
-    samples.extend(_tilt_densities(chain))
-    worst, worst_rho = -np.inf, None
-    for rho in samples:
-        Iv = fisher(chain, rho)
-        if Iv <= 0.0:
-            continue
-        ratio = 2.0 * alpha * entropy(chain, rho) / Iv
-        if ratio > worst:
-            worst, worst_rho = ratio, rho
-    return InequalityReport(
-        holds=bool(worst <= 1.0 + 1e-9),
-        worst_ratio=float(worst),
-        n_samples=len(samples),
-        worst_sample=worst_rho,
-        details={"alpha": alpha},
+    return _sampled_check(
+        chain,
+        n_samples,
+        seed,
+        lambda rho: _ratio(alpha, entropy(chain, rho), fisher(chain, rho)),
+        {"alpha": alpha},
     )
 
 
@@ -408,19 +468,23 @@ def gradient_bound_check(
 ) -> InequalityReport:
     """Pointwise check of Psi_Ups(P_t f) <= exp(-2 kappa t) P_t Psi_Ups(f)."""
     f = _field(chain, f)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if np.any(times < 0):
+        raise InvalidParameter("t must be nonnegative")
     psi0 = psi_upsilon(chain, f)
     worst_slack, worst_at = np.inf, None
     scale = max(1.0, float(np.max(np.abs(psi0))))
-    for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        lhs = psi_upsilon(chain, semigroup_apply(chain, f, t))
-        rhs = np.exp(-2.0 * kappa * t) * semigroup_apply(chain, psi0, t)
+    for t in times:
+        prop = scipy.linalg.expm(t * chain.rate_matrix)  # P_t for f and Psi(f)
+        lhs = psi_upsilon(chain, prop @ f)
+        rhs = np.exp(-2.0 * kappa * t) * (prop @ psi0)
         slack = float(np.min(rhs - lhs))
         if slack < worst_slack:
             worst_slack, worst_at = slack, float(t)
     return InequalityReport(
         holds=bool(worst_slack >= -1e-9 * scale),
         worst_ratio=worst_slack,
-        n_samples=len(np.atleast_1d(times)),
+        n_samples=len(times),
         details={"kappa": kappa, "worst_t": worst_at, "scale": scale},
     )
 
@@ -428,16 +492,16 @@ def gradient_bound_check(
 # -- power entropies --------------------------------------------------------------
 
 
-def p_entropy(chain: MarkovChain, p: float, rho) -> float:
-    """Power entropy: integral of (rho^p - rho)/(p(p-1))."""
-    rho = _positive_field(chain, rho)
-    return float(chain.pi @ phi_p(p, rho))
+def p_entropy(chain: MarkovChain, p: float, rho):
+    """Power entropy: integral of (rho^p - rho)/(p(p-1)); stacks too."""
+    rho = _densities(chain, rho)
+    return _by_rows(chain, rho, lambda r: phi_p(p, r))
 
 
-def p_fisher(chain: MarkovChain, p: float, rho) -> float:
-    """1/(2-p) integral of rho Psi^{(p)}(rho)."""
-    rho = _positive_field(chain, rho)
-    return float(chain.pi @ (rho * psi_p(chain, p, rho))) / (2.0 - p)
+def p_fisher(chain: MarkovChain, p: float, rho):
+    """1/(2-p) integral of rho Psi^{(p)}(rho); stacks too."""
+    rho = _densities(chain, rho)
+    return _by_rows(chain, rho, lambda r: r * psi_p(chain, p, r)) / (2.0 - p)
 
 
 def p_fisher_dirichlet(chain: MarkovChain, p: float, rho) -> float:
@@ -449,26 +513,16 @@ def p_fisher_dirichlet(chain: MarkovChain, p: float, rho) -> float:
 def beckner_check(
     chain: MarkovChain, p: float, alpha: float, n_samples: int = 1000, seed: int = 0
 ) -> InequalityReport:
-    """Sampled check of H_p(rho) <= I_p(rho)/(2 alpha)."""
+    """Sampled check of H_p(rho) <= I_p(rho)/(2 alpha); samples and
+    ``details`` as in ``mlsi_check``."""
     if alpha <= 0:
         raise InvalidParameter("alpha must be positive")
-    rng = np.random.default_rng(seed)
-    samples = [random_density(chain, rng) for _ in range(n_samples)]
-    samples.extend(_tilt_densities(chain))
-    worst, worst_rho = -np.inf, None
-    for rho in samples:
-        Iv = p_fisher(chain, p, rho)
-        if Iv <= 0.0:
-            continue
-        ratio = 2.0 * alpha * p_entropy(chain, p, rho) / Iv
-        if ratio > worst:
-            worst, worst_rho = ratio, rho
-    return InequalityReport(
-        holds=bool(worst <= 1.0 + 1e-9),
-        worst_ratio=float(worst),
-        n_samples=len(samples),
-        worst_sample=worst_rho,
-        details={"alpha": alpha, "p": p},
+    return _sampled_check(
+        chain,
+        n_samples,
+        seed,
+        lambda rho: _ratio(alpha, p_entropy(chain, p, rho), p_fisher(chain, p, rho)),
+        {"alpha": alpha, "p": p},
     )
 
 

@@ -144,6 +144,7 @@ class TestFlow:
         doc = json.loads((tmp_path / "f.flow.json").read_text())
         jsonschema.validate(doc, _schema("flow_summary.schema.json"))
         assert doc["ok"] and doc["mass_error"] <= 1e-10
+        assert doc["method"] == "expm"
         lines = (tmp_path / "f.flow.csv").read_text().strip().split("\n")
         assert lines[0] == "t,H,I,d2H"
         assert len(lines) == 502
@@ -212,6 +213,17 @@ class TestMlsiBeckner:
         ) == 0
         doc = json.loads(capsys.readouterr().out)
         jsonschema.validate(doc, _schema("beckner_report.schema.json"))
+
+    def test_worst_sample_named(self, capsys):
+        for cmd in (["mlsi"], ["beckner", "--p", "1.5"]):
+            assert main(
+                cmd + ["family", "hypercube", "2", "--alpha", "2.0",
+                       "--samples", "50", "--seed", "1"]
+            ) == 0
+            doc = json.loads(capsys.readouterr().out)
+            jsonschema.validate(doc, _schema(f"{cmd[0]}_report.schema.json"))
+            kind = "random" if doc["worst_index"] < 50 else "tilt"
+            assert doc["worst_kind"] == kind
 
 
 class TestTensor:

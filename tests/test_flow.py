@@ -5,6 +5,7 @@ import pytest
 
 from upsilon_cd import chains as ch
 from upsilon_cd import flow as fl
+from upsilon_cd import operators as op
 from upsilon_cd.errors import (
     GridTooCoarse,
     InvalidParameter,
@@ -240,6 +241,24 @@ class TestGradientBound:
         assert not rep.holds
 
 
+    def test_one_propagator_per_time(self, monkeypatch):
+        calls = []
+        expm = fl.scipy.linalg.expm
+
+        def counted(m):
+            calls.append(1)
+            return expm(m)
+
+        monkeypatch.setattr(fl.scipy.linalg, "expm", counted)
+        times = [0.1, 0.5, 1.0]
+        assert fl.gradient_bound_check(ch.hypercube(2), np.arange(4.0), 2.0, times).holds
+        assert len(calls) == len(times)
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(InvalidParameter):
+            fl.gradient_bound_check(ch.complete(2), np.zeros(2), 1.0, [0.1, -0.1])
+
+
 class TestPowerEntropy:
     def test_uniform_zero(self):
         k3 = ch.complete(3)
@@ -334,6 +353,77 @@ class TestErbarMaas:
         rho = rho / float(k3.pi @ rho)
         rA, rB = fl.em_identity_residuals(k3, rho)
         assert rA <= 1e-12 and rB <= 1e-12
+
+
+class TestStackedFlow:
+    def test_channels_equal_single_row_calls(self, rng):
+        chain = ch.birth_death(lambda x: 1.0 + 0.1 * x, lambda x: float(x), 12)
+        rho0 = mild_density(chain, rng)
+        for method in ("expm", "rk"):
+            tr = fl.heat_flow(chain, rho0, 1.0, 41, p=1.4, method=method)
+            assert tr.method == method
+            for i, r in enumerate(tr.densities):
+                assert tr.H[i] == fl.entropy(chain, r)
+                assert tr.I[i] == fl.fisher(chain, r)
+                logr = np.log(r)
+                assert tr.d2H[i] == 2.0 * float(chain.pi @ (r * op.psi2_upsilon(chain, logr)))
+                assert tr.Hp[i] == fl.p_entropy(chain, 1.4, r)
+                assert tr.Ip[i] == fl.p_fisher(chain, 1.4, r)
+                assert tr.d2Hp[i] == 2.0 * float(chain.pi @ (r * op.psi2_p(chain, 1.4, r)))
+        assert fl.heat_flow(chain, rho0, 0.1, 5).method == "expm"
+
+    def test_blocks_match_block_sized_pieces(self, rng):
+        chain = ch.hypercube(4)
+        step = fl._BLOCK_ELEMENTS // len(chain.edges[0])
+        rho = np.exp(rng.normal(size=(3 * step + 5, chain.n)))
+        for fn in (
+            fl.entropy,
+            fl.fisher,
+            lambda c, r: fl.p_entropy(c, 1.5, r),
+            lambda c, r: fl.p_fisher(c, 1.5, r),
+        ):
+            whole = fn(chain, rho)
+            pieces = np.concatenate(
+                [fn(chain, rho[i : i + step]) for i in range(0, len(rho), step)]
+            )
+            assert np.array_equal(whole, pieces)
+
+    def test_random_density_draws_unchanged(self):
+        chain = ch.weighted_complete([1.0, 2.0, 0.5, 1.5])
+        r1, r2 = np.random.default_rng(4), np.random.default_rng(4)
+        one_by_one = np.array([fl.random_density(chain, r1) for _ in range(50)])
+        assert np.array_equal(one_by_one, fl._random_densities(chain, r2, 50))
+
+
+class TestWorstSample:
+    @pytest.mark.parametrize(
+        "chain, kind",
+        [(ch.hypercube(3), "tilt"), (ch.weighted_complete([1.0, 2.0, 0.5, 1.5]), "random")],
+    )
+    def test_worst_index_points_at_worst_ratio(self, chain, kind):
+        n, alpha, p = 300, 1.0, 1.5
+        for check, num, den, extra in (
+            (fl.mlsi_check, fl.entropy, fl.fisher, ()),
+            (
+                fl.beckner_check,
+                lambda c, r: fl.p_entropy(c, p, r),
+                lambda c, r: fl.p_fisher(c, p, r),
+                (p,),
+            ),
+        ):
+            rep = check(chain, *extra, alpha, n_samples=n, seed=2)
+            rng = np.random.default_rng(2)
+            samples = [fl.random_density(chain, rng) for _ in range(n)]
+            samples += list(fl._tilt_densities(chain))
+            ratios = []
+            for r in samples:
+                d = den(chain, r)
+                ratios.append(2.0 * alpha * num(chain, r) / d if d > 0 else -np.inf)
+            i = rep.details["worst_index"]
+            assert rep.details["worst_kind"] == kind == ("random" if i < n else "tilt")
+            assert ratios[i] == rep.worst_ratio == max(ratios)
+            assert max(ratios[:i], default=-np.inf) < rep.worst_ratio
+            assert np.array_equal(samples[i], rep.worst_sample)
 
 
 class TestCsvExport:

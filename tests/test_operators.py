@@ -20,7 +20,9 @@ from upsilon_cd.kernels import (
     UPSILON,
     UPSILON_PRIME,
     bregman,
+    phi_p_prime,
     phi_p_prime_kernel,
+    phi_p_second,
     ups,
     ups_prime,
 )
@@ -133,6 +135,129 @@ class TestEdgeCore:
             ref = 0.5 * float(chain.pi @ val)
             scale = 0.5 * float(chain.pi @ mag)
             assert abs(fl.dirichlet_form(chain, f, g) - ref) <= 1e-13 * scale
+
+
+def stack_chains():
+    """Birth-death N=60, the 3-cube, a weighted K4 and a random chain."""
+    rng = np.random.default_rng(2024)
+    da, db = rng.uniform(0.5, 1.5, size=(2, 60))
+    birth = np.concatenate([np.cumsum(da[::-1])[::-1], [0.0]])
+    death = np.concatenate([[0.0], np.cumsum(db)])
+    return [
+        ch.birth_death(birth, death, 60),
+        ch.hypercube(3),
+        ch.weighted_complete([1.0, 2.0, 0.5, 1.5]),
+        random_reversible_chain(np.random.default_rng(9), n=8),
+    ]
+
+
+def psi2_term_magnitudes(chain, f):
+    """Summed |terms| of the expanded double sum for Psi_2(f)(x)."""
+    lf = op.generator_apply(chain, f)
+    out = np.zeros(chain.n)
+    for x in range(chain.n):
+        for y, kxy in zip(chain.neighbors[x], chain.rates[x]):
+            upy = abs(ups_prime(f[y] - f[x]))
+            dz = f[chain.neighbors[y]] - f[y]
+            terms = np.abs(np.expm1(dz)) + np.abs(dz) + upy * np.abs(dz)
+            out[x] += kxy * float(chain.rates[y] @ terms) + kxy * upy * abs(lf[x])
+            out[x] += chain.m1[x] * kxy * (abs(np.expm1(f[y] - f[x])) + abs(f[y] - f[x]))
+    return 0.5 * out
+
+
+class TestStacks:
+    """Every row of a stacked (S, n) call is the 1-D call on that row."""
+
+    @pytest.mark.parametrize("idx", range(4))
+    def test_rows_equal_single_calls(self, idx):
+        chain = stack_chains()[idx]
+        rng = np.random.default_rng(idx)
+        g = rng.normal(scale=0.8, size=(5, chain.n))
+        w = np.exp(g)
+        cases = [
+            (op.generator_apply, g),
+            (op.psi_upsilon, g),
+            (op.psi2_upsilon, g),
+            (lambda c, f: op.psi_p(c, 1.5, f), w),
+            (lambda c, f: op.psi2_p(c, 1.3, f), w),
+            (fl.fisher, w),
+            (lambda c, f: fl.p_fisher(c, 1.7, f), w),
+        ]
+        for fn, fields in cases:
+            got = fn(chain, fields)
+            assert got.shape == fields.shape[: got.ndim]
+            for row, field in zip(got, fields):
+                assert np.array_equal(row, fn(chain, field))
+        # any leading shape for the pointwise operators
+        cube = g[:4].reshape(2, 2, chain.n)
+        got = op.psi2_upsilon(chain, cube)
+        assert np.array_equal(got.reshape(4, chain.n), op.psi2_upsilon(chain, g[:4]))
+
+    @pytest.mark.parametrize("idx", range(4))
+    def test_stacks_match_reference_paths(self, idx):
+        chain = stack_chains()[idx]
+        rng = np.random.default_rng(10 + idx)
+        src, dst, rate = chain.edges
+        g = rng.normal(scale=0.8, size=(4, chain.n))
+        psi2 = op.psi2_upsilon(chain, g)
+        for row, f in zip(psi2, g):
+            ref = op.psi2_upsilon_expanded(chain, f)
+            mag = psi2_term_magnitudes(chain, f)
+            assert np.all(np.abs(row - ref) <= 1e-13 * mag)
+        rho = np.exp(g)
+        p = 1.5
+        fis, pfis = fl.fisher(chain, rho), fl.p_fisher(chain, p, rho)
+        for i, r in enumerate(rho):
+            dr, dl = r[dst] - r[src], np.log(r[dst]) - np.log(r[src])
+            dp = phi_p_prime(p, r[dst]) - phi_p_prime(p, r[src])
+            mag = float(chain.pi[src] @ (rate * r[src] * (np.abs(np.expm1(dl)) + np.abs(dl))))
+            mag += 0.5 * float(chain.pi[src] @ (rate * np.abs(dr * dl)))
+            assert abs(fis[i] - fl.fisher_dirichlet(chain, r)) <= 1e-13 * mag
+            hw, hz = phi_p_prime(p, r[dst]), phi_p_prime(p, r[src])
+            breg = np.abs(hw) + np.abs(hz) + phi_p_second(p, r[src]) * np.abs(dr)
+            pmag = float(chain.pi[src] @ (rate * r[src] * breg)) / (2.0 - p)
+            pmag += 0.5 * float(chain.pi[src] @ (rate * np.abs(dr * dp)))
+            assert abs(pfis[i] - fl.p_fisher_dirichlet(chain, p, r)) <= 1e-13 * pmag
+
+    def test_nonpositive_row_rejected(self):
+        chain = ch.hypercube(3)
+        w = np.exp(np.random.default_rng(1).normal(size=(6, chain.n)))
+        w[4, 2] = 0.0
+        for fn in (
+            lambda f: op.psi_p(chain, 1.5, f),
+            lambda f: op.psi2_p(chain, 1.5, f),
+            lambda f: fl.fisher(chain, f),
+            lambda f: fl.p_fisher(chain, 1.5, f),
+            lambda f: fl.p_entropy(chain, 1.5, f),
+        ):
+            with pytest.raises(NonPositiveField):
+                fn(w)
+        fl.entropy(chain, w)  # 0 log 0 = 0
+        w[1, 0] = -1.0
+        with pytest.raises(NonPositiveField):
+            fl.entropy(chain, w)
+
+    def test_wrong_trailing_size_rejected(self):
+        chain = ch.hypercube(3)
+        bad = np.ones((3, chain.n + 1))
+        for fn in (
+            op.generator_apply,
+            op.psi_upsilon,
+            op.psi2_upsilon,
+            lambda c, f: op.psi_p(c, 1.5, f),
+            lambda c, f: op.psi2_p(c, 1.5, f),
+            fl.entropy,
+            fl.fisher,
+            lambda c, f: fl.p_entropy(c, 1.5, f),
+            lambda c, f: fl.p_fisher(c, 1.5, f),
+        ):
+            with pytest.raises(DimensionMismatch):
+                fn(chain, bad)
+        # the functionals take (n,) or (S, n); the references stay 1-D
+        good = np.ones((2, 3, chain.n))
+        for fn in (fl.entropy, fl.fisher, op.psi2_upsilon_expanded, fl.fisher_dirichlet):
+            with pytest.raises(DimensionMismatch):
+                fn(chain, good)
 
 
 class TestPsiAndB:
