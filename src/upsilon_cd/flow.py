@@ -83,9 +83,8 @@ def _densities(chain: MarkovChain, rho, positive: bool = True) -> np.ndarray:
     if rho.ndim > 2:
         raise DimensionMismatch(f"expected (n,) or (S, n), got shape {rho.shape}")
     if positive:
-        if np.any(rho <= 0.0):
-            raise NonPositiveField("field must be strictly positive")
-    elif np.any(rho < 0.0):
+        return _positive_field(chain, rho, stack=True)
+    if np.any(rho < 0.0):
         raise NonPositiveField("density must be nonnegative")
     return rho
 
@@ -273,11 +272,14 @@ def heat_flow(
 
 
 def semigroup_apply(chain: MarkovChain, f, t: float) -> np.ndarray:
-    """P_t f for a bounded function f (same propagator as the flow)."""
-    f = _field(chain, f)
+    """P_t f for a bounded function f (same propagator as the flow), or
+    P_t of each row of an (S, n) stack under one propagator."""
+    f = _field(chain, f, stack=True)
+    if f.ndim > 2:
+        raise DimensionMismatch(f"expected (n,) or (S, n), got shape {f.shape}")
     if t < 0:
         raise InvalidParameter("t must be nonnegative")
-    return scipy.linalg.expm(t * chain.rate_matrix) @ f
+    return (scipy.linalg.expm(t * chain.rate_matrix) @ f.T).T
 
 
 def _grid_guard(trace: FlowTrace) -> float:
@@ -408,7 +410,7 @@ def _sampled_check(chain, n_samples, seed, ratio_of, details) -> InequalityRepor
         holds=bool(worst <= 1.0 + 1e-9),
         worst_ratio=worst,
         n_samples=len(samples),
-        worst_sample=samples[i] if found else None,
+        worst_sample=samples[i].copy() if found else None,
         details=details,
     )
 
@@ -469,15 +471,13 @@ def gradient_bound_check(
     """Pointwise check of Psi_Ups(P_t f) <= exp(-2 kappa t) P_t Psi_Ups(f)."""
     f = _field(chain, f)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < 0):
-        raise InvalidParameter("t must be nonnegative")
     psi0 = psi_upsilon(chain, f)
     worst_slack, worst_at = np.inf, None
     scale = max(1.0, float(np.max(np.abs(psi0))))
     for t in times:
-        prop = scipy.linalg.expm(t * chain.rate_matrix)  # P_t for f and Psi(f)
-        lhs = psi_upsilon(chain, prop @ f)
-        rhs = np.exp(-2.0 * kappa * t) * (prop @ psi0)
+        ptf, pt_psi0 = semigroup_apply(chain, np.stack([f, psi0]), t)
+        lhs = psi_upsilon(chain, ptf)
+        rhs = np.exp(-2.0 * kappa * t) * pt_psi0
         slack = float(np.min(rhs - lhs))
         if slack < worst_slack:
             worst_slack, worst_at = slack, float(t)

@@ -110,6 +110,16 @@ class TestHeatFlow:
         rhs = float(chain.pi @ (f * ptg))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
+    def test_semigroup_stack_rows(self, rng):
+        chain = random_reversible_chain(rng, 7)
+        fs = rng.normal(size=(4, 7))
+        stacked = fl.semigroup_apply(chain, fs, 0.6)
+        for f, row in zip(fs, stacked):
+            single = fl.semigroup_apply(chain, f, 0.6)
+            assert np.max(np.abs(row - single)) <= 1e-14 * np.max(np.abs(single))
+        with pytest.raises(InvalidParameter):
+            fl.semigroup_apply(chain, fs, -0.1)
+
     def test_explicit_nonuniform_grid(self, rng):
         chain = random_reversible_chain(rng, 4)
         rho0 = random_positive_density(chain, rng)
@@ -424,6 +434,7 @@ class TestWorstSample:
             assert ratios[i] == rep.worst_ratio == max(ratios)
             assert max(ratios[:i], default=-np.inf) < rep.worst_ratio
             assert np.array_equal(samples[i], rep.worst_sample)
+            assert rep.worst_sample.base is None  # not a view of the whole stack
 
 
 class TestCsvExport:

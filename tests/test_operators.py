@@ -255,7 +255,13 @@ class TestStacks:
                 fn(chain, bad)
         # the functionals take (n,) or (S, n); the references stay 1-D
         good = np.ones((2, 3, chain.n))
-        for fn in (fl.entropy, fl.fisher, op.psi2_upsilon_expanded, fl.fisher_dirichlet):
+        for fn in (
+            fl.entropy,
+            fl.fisher,
+            lambda c, f: fl.semigroup_apply(c, f, 0.5),
+            op.psi2_upsilon_expanded,
+            fl.fisher_dirichlet,
+        ):
             with pytest.raises(DimensionMismatch):
                 fn(chain, good)
 
