@@ -28,7 +28,6 @@ from .errors import (
     NotAStar,
 )
 from .kernels import omega, omega_prime, ups, ups_prime
-from .operators import psi2_p, psi_p
 
 __all__ = [
     "CurvatureOptions",
@@ -67,10 +66,6 @@ class CurvatureOptions:
     starts: int = 64
     amplitude: float = 40.0
     bound: float = 80.0
-    # Slack tolerance of cd_p_check only, in units of the squared local rate
-    # scale; the exponential checks decide against the rounding error of the
-    # evaluated slack instead.
-    tol_slack: float = 1e-8
     minus_inf_threshold: float = -1e6
     probe_taus: tuple = (10.0, 20.0, 40.0)
     seed: int = 0
@@ -86,19 +81,47 @@ class VertexProblem:
     Free variables are u = f|S1 and w = f|S2shared (f(x) = 0 normalized
     away; the ratio and check objectives are invariant under constants).
     A second-sphere vertex is "private" when it is reachable from exactly
-    one S1 vertex y; its optimal value 2 u_y is known in closed form
-    (the Bregman term r -> ups(r - u_y) - ups'(u_y)(r - u_y) is convex with
-    minimum -omega(u_y)), so it never enters the search space. The raw
-    variables append f|S2private (columns follow s2_private).
+    one S1 vertex y; its optimal value is known in closed form (below), so
+    it never enters the search space. The raw variables append f|S2private
+    (columns follow s2_private).
 
     Every edge y -> z with y in S1 is one entry of ``(src, tgt, coef)``:
     ``src`` is y's index in S1, ``tgt`` the raw column of z (-1 for z = x),
     ``coef`` = c_y k(y, z). Edges into x come first, then into S1, then into
     shared S2, with private S2 last. ``z @ diff`` is f(tgt) - u_src on every
     edge.
+
+    The same kernel serves the power entropy phi_p, 1 < p < 2, with
+    a = p - 1. The variables are then g = log F of a positive field F, and
+    with d = g(z) - u_y on an edge y -> z and r(s) = ups(a s)/a:
+
+        Psi^(p)(x)     = sum_y c_y [ups(u_y) - r(u_y)]
+        L phi_p'(x)    = sum_y c_y [u_y + r(u_y)]
+        2 Psi_2^(p)(x) = sum_{y->z} c_y k(y,z) e^{a u_y}
+                             [ups(d) - ups'(u_y) d - e^{u_y} r(d)]
+                         + (sum_y c_y ups'(u_y)) L phi_p'(x) - M1(x) Psi^(p)(x)
+
+    (Psi^(p) is minus the Bregman sum of phi_p', and the edge term is
+    Psi^(p)(y) minus ups'(u_y) times L phi_p'(y), both expanded around
+    F(y) = e^{u_y}, with 1 + ups'(u) = e^u.) F -> cF scales all three by
+    c^a, so g(x) = 0 loses nothing. At a = 0 (p = 1, the default)
+    r vanishes and this is the logarithmic entropy's Psi and Psi_2 of g;
+    ``lf`` then is Lg(x).
+
+    The inner minimum over a private z: its edge term T(d) has
+    T'(d) = e^{a(u_y + d)} (e^{(1-a) d} - e^{u_y}), so T falls, then rises,
+    with its global minimum at d* = u_y/(1 - a), i.e. g(z) = u_y (3-p)/(2-p)
+    (2 u_y at p = 1, where T(d*) = -omega(u_y)). By the envelope theorem
+    dT(d*)/du_y = a T(d*) - e^{(1+a) u_y} (d* + r(d*)) (-omega'(u_y) at
+    p = 1).
     """
 
-    def __init__(self, chain: MarkovChain, x: int):
+    def __init__(self, chain: MarkovChain, x: int, p: float = 1.0):
+        if not 1.0 <= p < 2.0:
+            raise InvalidParameter(f"p must lie in [1,2), got {p}")
+        self.a = float(p) - 1.0
+        # g(z) / u_y at the private inner minimum
+        self._priv_factor = (3.0 - p) / (2.0 - p)
         self.chain = chain
         self.x = int(x)
         s1 = [int(y) for y in chain.neighbors[x]]
@@ -168,13 +191,17 @@ class VertexProblem:
             return self.diff, len(self.coef)
         return self._diff_red, self._n_red
 
+    def _r(self, s):
+        """r(s) = ups(a s)/a, the power entropy's part of its terms."""
+        return ups(self.a * s) / self.a
+
     def _objective(self, z: np.ndarray, grad: bool = False):
-        """Lf(x), Psi(f)(x) and 2 Psi_2(f)(x) with f(x) = 0 and f|ball = z.
+        """Lf(x), Psi(f)(x) and 2 Psi_2(f)(x) with f(x) = 0 and f|ball = z
+        (L phi_p', Psi^(p) and 2 Psi_2^(p) of F = e^f for p > 1).
 
         ``z.shape[-1]`` decides raw versus reduced (see _edges); the
-        reduced form takes each private edge y -> z at its exact minimum
-        -c_y k(y, z) omega(u_y). With ``grad`` also returns dPsi/du and
-        d(2 Psi_2)/dz.
+        reduced form takes each private edge at its exact inner minimum.
+        With ``grad`` also returns dPsi/du and d(2 Psi_2)/dz.
         """
         z = np.asarray(z, dtype=float)
         u = z[..., : self.m1]
@@ -186,23 +213,47 @@ class VertexProblem:
         lf = u @ self.c
         psi = ups(u) @ self.c
         s = upv @ self.c
-        two_psi2 = (ups(d) - upv_src * d) @ coef + s * lf - self.m1x * psi
+        edge = ups(d) - upv_src * d
+        eu = np.exp(u)
+        if self.a:
+            ru, rd = self._r(u), self._r(d)
+            lf = lf + ru @ self.c
+            psi = psi - ru @ self.c
+            eau = np.exp(self.a * u)
+            eu_src, eau_src = eu[..., src], eau[..., src]
+            edge = eau_src * (edge - eu_src * rd)
+        two_psi2 = edge @ coef + s * lf - self.m1x * psi
         reduced = n < len(self.coef)
         if reduced:
-            two_psi2 = two_psi2 - omega(u) @ self._priv_coef
+            priv, dpriv = self._private_min(u, grad)
+            two_psi2 = two_psi2 + priv @ self._priv_coef
         if not grad:
             return lf, psi, two_psi2
-        eu = np.exp(u)
-        dpsi = self.c * upv
-        g = (coef * (ups_prime(d) - upv_src)) @ diff.T
-        g[..., : self.m1] += (
-            self.c * (eu * lf[..., None] + s[..., None])
-            - eu * ((coef * d) @ self._src_inc[:n])
-            - self.m1x * dpsi
-        )
+        dd, dpsi, s_u = ups_prime(d) - upv_src, self.c * upv, s[..., None]
+        if self.a:
+            dd = eau_src * (dd - eu_src * ups_prime(self.a * d))
+            dpsi = dpsi - self.c * ups_prime(self.a * u)
+            s_u = eau * s_u  # dLf/du = c e^{a u}
+            # each edge term's own u_y-derivative: a T - e^{(1+a) u_y} (d + r(d))
+            own = (coef * (self.a * edge - eu_src * eau_src * (d + rd))) @ self._src_inc[:n]
+        else:
+            own = -eu * ((coef * d) @ self._src_inc[:n])
+        g = (coef * dd) @ diff.T
+        g[..., : self.m1] += self.c * (eu * lf[..., None] + s_u) + own - self.m1x * dpsi
         if reduced:
-            g[..., : self.m1] -= self._priv_coef * omega_prime(u)
+            g[..., : self.m1] += self._priv_coef * dpriv
         return lf, psi, two_psi2, dpsi, g
+
+    def _private_min(self, u: np.ndarray, grad: bool):
+        """T(d*) per unit c_y k(y, z) of a private edge out of each y, and
+        its u_y-derivative with ``grad`` (see the class docstring)."""
+        if not self.a:
+            return -omega(u), -omega_prime(u) if grad else None
+        ds = u / (1.0 - self.a)
+        eu, eau = np.exp(u), np.exp(self.a * u)
+        rds = self._r(ds)
+        t = eau * (ups(ds) - ups_prime(u) * ds - eu * rds)
+        return t, self.a * t - eu * eau * (ds + rds) if grad else None
 
     def ratio_batch(self, z: np.ndarray) -> np.ndarray:
         _, psi, two_psi2 = self._objective(z)
@@ -220,7 +271,7 @@ class VertexProblem:
         """Sum of the magnitudes of the terms that make up check_batch(z).
 
         Each kernel value counts with the terms it is computed from, and a
-        computed difference d adds |ups'(d) d| for its own rounding (not on
+        computed difference d adds |dT/dd d| for its own rounding (not on
         edges into x, where d = -u is exact); a fixed multiple of machine
         epsilon times this sum bounds the rounding error of the evaluated
         slack.
@@ -230,19 +281,35 @@ class VertexProblem:
         diff, n = self._edges(z.shape[-1])
         d = z @ diff
         upv = ups_prime(u)
+        terms, rounding = self._edge_terms(d, u, upv, self.src[:n])
         computed = self.tgt[:n] >= 0
-        acc = (
-            _ups_terms(d)
-            + np.abs(upv[..., self.src[:n]] * d)
-            + np.where(computed, np.abs(ups_prime(d) * d), 0.0)
-        ) @ self.coef[:n]
-        if n < len(self.coef):
+        acc = (terms + np.where(computed, rounding, 0.0)) @ self.coef[:n]
+        lf_terms, psi_terms = np.abs(u), _ups_terms(u)
+        if self.a:
+            r_terms = _ups_terms(self.a * u) / self.a
+            lf_terms, psi_terms = lf_terms + r_terms, psi_terms + r_terms
+        if n < len(self.coef) and self.a:  # the edge terms at d*, computed
+            terms, rounding = self._edge_terms(u / (1.0 - self.a), u, upv, slice(None))
+            acc = acc + (terms + rounding) @ self._priv_coef
+        elif n < len(self.coef):
             acc = acc + _omega_terms(u) @ self._priv_coef
-        lf_abs = np.abs(u) @ self.c
+        lf_abs = lf_terms @ self.c
         acc = acc + (np.abs(upv) @ self.c) * lf_abs
-        psi_terms = _ups_terms(u) @ self.c
+        psi_terms = psi_terms @ self.c
         acc = 0.5 * (acc + self.m1x * psi_terms) + abs(kappa) * psi_terms
         return acc + inv_d * lf_abs**2
+
+    def _edge_terms(self, d, u, upv, src):
+        """Magnitudes of the terms of the edge kernel T(d) on edges out of
+        u[..., src], and of dT/dd d, the rounding of a computed d."""
+        terms = _ups_terms(d) + np.abs(upv[..., src] * d)
+        rounding = np.abs(ups_prime(d) * d)
+        if self.a:
+            eu, eau = np.exp(u)[..., src], np.exp(self.a * u)[..., src]
+            ad = self.a * d
+            terms = eau * (terms + eu * _ups_terms(ad) / self.a)
+            rounding = eau * (rounding + eu * np.abs(ups_prime(ad) * d))
+        return terms, rounding
 
     # -- value and gradient for the quasi-Newton descent ------------------------
     # The _*_vg forms work over the last axis of z; the public 1-D forms are
@@ -264,8 +331,9 @@ class VertexProblem:
         grad = 0.5 * g
         grad[..., : self.m1] -= kappa * dpsi
         if inv_d:
+            dlf = self.c * np.exp(self.a * z[..., : self.m1]) if self.a else self.c
             val = val - inv_d * lf * lf
-            grad[..., : self.m1] -= 2.0 * inv_d * lf[..., None] * self.c
+            grad[..., : self.m1] -= 2.0 * inv_d * lf[..., None] * dlf
         return val, grad
 
     def ratio_value_grad(self, z: np.ndarray):
@@ -283,7 +351,7 @@ class VertexProblem:
         z = np.asarray(z, dtype=float)
         f = np.zeros(self.chain.n)
         f[self.ball[: self.dim]] = z[: self.dim]
-        f[self.s2_private] = 2.0 * z[self.src[self._n_red :]]
+        f[self.s2_private] = self._priv_factor * z[self.src[self._n_red :]]
         return f
 
     def probe_points(self, taus) -> list:
@@ -610,14 +678,34 @@ def cd_upsilon_kappa(
     return VertexEstimate(x, val, prob.field_from(z), diag)
 
 
-def _slack_scale(prob: VertexProblem) -> float:
-    peers = float(np.max(prob.chain.m1[prob.s1])) if prob.m1 else 0.0
-    return max(1.0, prob.m1x + peers) ** 2
-
-
 # Rounding error of an evaluated slack, in machine epsilons per unit of the
 # summed term magnitudes (VertexProblem.check_magnitude_batch).
 _ROUNDING_ULPS = 64
+
+
+def _check(
+    prob: VertexProblem, kappa: float, inv_d: float, opts: CurvatureOptions
+) -> CheckResult:
+    """Minimize the slack Psi_2 - kappa Psi - inv_d (Lf)^2 of ``prob``.
+
+    ``holds`` iff the found minimum is >= -tol with tol = 64 machine
+    epsilons times the sum of the magnitudes of the slack's terms at the
+    minimiser (``diagnostics["tol"]``): the rounding error of the slack
+    actually evaluated. A tolerance fixed in units of the squared rate
+    scale would absorb any violation that is small next to the rates, such
+    as that of the Poisson chain at vertices near exp(1/kappa).
+    """
+    z, val, diag = _multistart(
+        prob,
+        lambda z: prob._check_vg(z, kappa, inv_d),
+        lambda z: prob.check_value_grad(z, kappa, inv_d),
+        opts,
+        _rng_for(opts, prob.x),
+    )
+    magnitude = prob.check_magnitude_batch(z, kappa, inv_d)
+    tol = float(_ROUNDING_ULPS * np.finfo(float).eps * magnitude)
+    holds = val >= -tol
+    return CheckResult(holds, val, None if holds else prob.field_from(z), dict(diag, tol=tol))
 
 
 def cd_upsilon_check(
@@ -626,12 +714,8 @@ def cd_upsilon_check(
     x: int,
     opts: CurvatureOptions = DEFAULT_OPTIONS,
 ) -> CheckResult:
-    """Decide the pointwise inequality Psi_2 >= kappa Psi at x.
-
-    Minimizes the slack objective; holds iff the found minimum is no more
-    negative than the rounding error of the slack evaluated there (see
-    cd_upsilon_dim_check). ``opts.tol_slack`` plays no part.
-    """
+    """Decide the pointwise inequality Psi_2 >= kappa Psi at x, against the
+    rounding error of the slack (see _check)."""
     return cd_upsilon_dim_check(chain, kappa, math.inf, x, opts)
 
 
@@ -643,38 +727,11 @@ def cd_upsilon_dim_check(
     opts: CurvatureOptions = DEFAULT_OPTIONS,
 ) -> CheckResult:
     """Finite-dimension variant with the (1/d)(Lf)^2 term; d = inf reduces
-    to the dimensionless check.
-
-    The verdict is decided against the rounding error of the slack actually
-    evaluated: ``holds`` iff the found minimum is >= -tol with tol = 64
-    machine epsilons times the sum of the magnitudes of the slack's terms at
-    the minimiser (``diagnostics["tol"]``). A tolerance fixed in units of
-    the squared rate scale would absorb any violation that is small next to
-    the rates, such as that of the Poisson chain at vertices near
-    exp(1/kappa). ``opts.tol_slack`` plays no part.
-    """
+    to the dimensionless check. The verdict is decided as in _check."""
     if not (d > 0):
         raise InvalidParameter("dimension parameter must be positive")
     inv_d = 0.0 if math.isinf(d) else 1.0 / d
-    prob = VertexProblem(chain, x)
-    rng = _rng_for(opts, x)
-
-    z, val, diag = _multistart(
-        prob,
-        lambda z: prob._check_vg(z, kappa, inv_d),
-        lambda z: prob.check_value_grad(z, kappa, inv_d),
-        opts,
-        rng,
-    )
-    magnitude = prob.check_magnitude_batch(z, kappa, inv_d)
-    tol = float(_ROUNDING_ULPS * np.finfo(float).eps * magnitude)
-    holds = val >= -tol
-    return CheckResult(
-        holds=holds,
-        worst_slack=val,
-        counterexample=None if holds else prob.field_from(z),
-        diagnostics=dict(diag, tol=tol),
-    )
+    return _check(VertexProblem(chain, x), kappa, inv_d, opts)
 
 
 def cd_p_check(
@@ -686,53 +743,15 @@ def cd_p_check(
 ) -> CheckResult:
     """Power-entropy condition Psi_2^{(p)} >= kappa/(2-p) Psi^{(p)} at x.
 
-    Optimizes over positive fields f = exp(g) with g free on the two-ball
-    (g(x) = 0); gradients are numerical here, the two-ball is small. Holds
-    iff the found minimum stays above -opts.tol_slack * (local rate scale)^2.
+    Minimizes over positive fields F = exp(g) on the two-ball's edge list
+    (VertexProblem with p), decided as in _check; the counterexample is F.
     """
     if not 1.0 < p < 2.0:
         raise InvalidParameter(f"p must lie in (1,2), got {p}")
-    prob = VertexProblem(chain, x)
-    rng = _rng_for(opts, x)
-    tol = opts.tol_slack * _slack_scale(prob)
-    ball = prob.ball
-    fac = kappa / (2.0 - p)
-
-    def objective(g_ball):
-        g = np.zeros(chain.n)
-        g[ball] = g_ball
-        f = np.exp(g)
-        return float(
-            psi2_p(chain, p, f)[prob.x] - fac * psi_p(chain, p, f)[prob.x]
-        )
-
-    # exp(+-40) stretches phi_p'' towards overflow; a tighter box suffices
-    # because the p-objective diverges much sooner than the log one.
-    b = min(opts.bound, 25.0)
-    bounds = [(-b, b)] * len(ball)
-    best_val, best_g = np.inf, None
-    starts = [np.zeros(len(ball))]
-    for g0 in (0.5, 2.0, 8.0):
-        starts.append(np.full(len(ball), g0))
-        starts.append(np.full(len(ball), -g0))
-    while len(starts) < opts.starts:
-        starts.append(
-            np.clip(rng.normal(size=len(ball)) * rng.choice((0.5, 2.0, 8.0)), -b, b)
-        )
-    for g0 in starts:
-        res = scipy.optimize.minimize(
-            objective, g0, method="L-BFGS-B", bounds=bounds,
-            options=dict(maxiter=opts.maxiter),
-        )
-        if np.isfinite(res.fun) and res.fun < best_val:
-            best_val, best_g = float(res.fun), res.x.copy()
-    holds = best_val >= -tol
-    counter = None
-    if not holds and best_g is not None:
-        g = np.zeros(chain.n)
-        g[ball] = best_g
-        counter = np.exp(g)
-    return CheckResult(holds, best_val, counter, {"tol": tol})
+    res = _check(VertexProblem(chain, x, p), kappa / (2.0 - p), 0.0, opts)
+    if res.counterexample is not None:
+        res.counterexample = np.exp(res.counterexample)
+    return res
 
 
 # -- structural witnesses ---------------------------------------------------------
@@ -767,43 +786,48 @@ def no_lower_bound_witness(chain: MarkovChain, x: int, y: int, tau: float) -> np
     Requires girth >= 5 and M1(x) + M1(y) - 2(k(x,y) + k(y,x)) > 0; the
     returned field sends the curvature ratio at x to -inf as tau -> -inf.
     """
-    kxy = chain.rate(x, y)
-    if kxy <= 0.0:
+    if chain.rate(x, y) <= 0.0:
         raise ConditionNotMet(f"states {x} and {y} are not adjacent")
     g = girth(chain)
     if g < 5:
         raise GirthTooSmall(f"girth {g} < 5")
-    margin = float(chain.m1[x] + chain.m1[y] - 2.0 * (kxy + chain.rate(y, x)))
-    if margin <= 1e-12 * float(chain.m1[x] + chain.m1[y]):
+    if not _branching(chain, x, y):
         raise ConditionNotMet(
             "M1(x) + M1(y) - 2(k(x,y) + k(y,x)) is not strictly positive"
         )
+    return _family_field(chain, x, y, tau)
+
+
+def _margin(chain: MarkovChain, x: int, y: int) -> float:
+    """M1(x) + M1(y) - 2(k(x,y) + k(y,x)), the divergence margin of (x, y)."""
+    return float(
+        chain.m1[x] + chain.m1[y] - 2.0 * (chain.rate(x, y) + chain.rate(y, x))
+    )
+
+
+def _branching(chain: MarkovChain, x: int, y: int) -> bool:
+    """Whether the margin of (x, y) is positive beyond rounding."""
+    return _margin(chain, x, y) > 1e-12 * float(chain.m1[x] + chain.m1[y])
+
+
+def _family_field(chain: MarkovChain, x: int, y: int, tau: float) -> np.ndarray:
+    """The witness family at x through y: -tau at y, tau at the other
+    neighbours of x, and twice its neighbour's value on each second-step
+    vertex (in neighbour order, the last write wins)."""
     f = np.zeros(chain.n)
-    for y_i in chain.neighbors[x]:
-        y_i = int(y_i)
-        f[y_i] = -tau if y_i == y else tau
-    for y_i in chain.neighbors[x]:
-        y_i = int(y_i)
-        for z in chain.neighbors[y_i]:
-            z = int(z)
+    s1 = [int(v) for v in chain.neighbors[x]]
+    for v in s1:
+        f[v] = -tau if v == y else tau
+    for v in s1:
+        for z in chain.neighbors[v]:
             if z != x:
-                f[z] = 2.0 * f[y_i]
+                f[z] = 2.0 * f[v]
     return f
 
 
 def divergence_candidates(chain: MarkovChain, x: int) -> list:
     """Neighbours y of x satisfying the divergence margin condition."""
-    out = []
-    for y in chain.neighbors[x]:
-        y = int(y)
-        margin = float(
-            chain.m1[x]
-            + chain.m1[y]
-            - 2.0 * (chain.rate(x, y) + chain.rate(y, x))
-        )
-        if margin > 1e-12 * float(chain.m1[x] + chain.m1[y]):
-            out.append(y)
-    return out
+    return [int(y) for y in chain.neighbors[x] if _branching(chain, x, int(y))]
 
 
 def divergence_certificate(chain: MarkovChain, x: int, threshold: float):
@@ -826,11 +850,7 @@ def divergence_certificate(chain: MarkovChain, x: int, threshold: float):
     best = None
     for y1 in divergence_candidates(chain, x):
         c1 = chain.rate(x, y1)
-        margin = float(
-            chain.m1[x]
-            + chain.m1[y1]
-            - 2.0 * (chain.rate(x, y1) + chain.rate(y1, x))
-        )
+        margin = _margin(chain, x, y1)
         offset = -c1 * chain.m1[x] + c1 * (chain.m1[y1] - chain.rate(y1, x))
         for y in chain.neighbors[x]:
             y = int(y)
@@ -842,17 +862,7 @@ def divergence_certificate(chain: MarkovChain, x: int, threshold: float):
     if best is None:
         return None
     tau_star, y1 = best
-    f = np.zeros(chain.n)
-    for y_i in chain.neighbors[x]:
-        y_i = int(y_i)
-        f[y_i] = 40.0 if y_i == y1 else -40.0
-    for y_i in chain.neighbors[x]:
-        y_i = int(y_i)
-        for z in chain.neighbors[y_i]:
-            z = int(z)
-            if z != x:
-                f[z] = 2.0 * f[y_i]
-    return tau_star, y1, f
+    return tau_star, y1, _family_field(chain, x, y1, -40.0)
 
 
 # -- example-family certificates ---------------------------------------------------
@@ -954,17 +964,14 @@ def ratio_grid_oracle(
     if prob.dim > 3:
         raise InvalidParameter("grid oracle supports at most 3 reduced variables")
     axes = [np.arange(lo, hi + step / 2, step)] * prob.dim
-    best_val, best_z = np.inf, None
-    for z, v in _mesh_scan(prob.ratio_batch, axes):
-        if v < best_val:
-            best_val, best_z = v, z
+    best_z, best_val = _mesh_min(prob.ratio_batch, axes)
     cur = step
     while cur > refine:
         cur /= 10.0
         axes = [np.arange(c - 10 * cur, c + 10 * cur + cur / 2, cur) for c in best_z]
-        for z, v in _mesh_scan(prob.ratio_batch, axes):
-            if v < best_val:
-                best_val, best_z = v, z
+        z, v = _mesh_min(prob.ratio_batch, axes)
+        if v < best_val:
+            best_val, best_z = v, z
     return float(best_val)
 
 
@@ -982,11 +989,7 @@ def check_grid_oracle_raw(
     prob = VertexProblem(chain, x)
     inv_d = 0.0 if math.isinf(d) else 1.0 / d
     axes = [np.arange(lo, hi + step / 2, step)] * prob.raw_dim
-    fun = lambda zz: prob.check_batch(zz, kappa, inv_d)
-    best_val, best_z = np.inf, None
-    for z, v in _mesh_scan(fun, axes):
-        if v < best_val:
-            best_val, best_z = v, z
+    best_z, best_val = _mesh_min(lambda zz: prob.check_batch(zz, kappa, inv_d), axes)
     holds = best_val >= -tol
     counter = None
     if not holds:
@@ -995,24 +998,25 @@ def check_grid_oracle_raw(
     return CheckResult(holds, float(best_val), counter, {"grid_step": step})
 
 
-def _mesh_scan(batch_fun, axes):
-    """Yield (argmin, min) per chunk of the full mesh product of ``axes``."""
+def _mesh_min(batch_fun, axes):
+    """(argmin, min) of batch_fun over the full mesh product of ``axes``,
+    evaluated one value of the first axis at a time (first minimum wins)."""
     if len(axes) == 1:
         z = axes[0][:, None]
         v = batch_fun(z)
         i = int(np.argmin(v))
-        yield z[i], float(v[i])
-        return
-    head, tail = axes[0], axes[1:]
-    grids = np.meshgrid(*tail, indexing="ij")
-    flat = np.stack([g.ravel() for g in grids], axis=1)
-    block = np.empty((flat.shape[0], len(axes)))
-    block[:, 1:] = flat
-    for a in head:
+        return z[i], float(v[i])
+    grids = np.meshgrid(*axes[1:], indexing="ij")
+    block = np.empty((grids[0].size, len(axes)))
+    block[:, 1:] = np.stack([g.ravel() for g in grids], axis=1)
+    best_z, best_val = None, np.inf
+    for a in axes[0]:
         block[:, 0] = a
         v = batch_fun(block)
         i = int(np.argmin(v))
-        yield block[i].copy(), float(v[i])
+        if v[i] < best_val:
+            best_z, best_val = block[i].copy(), float(v[i])
+    return best_z, best_val
 
 
 # -- whole-chain reports ---------------------------------------------------------
@@ -1068,19 +1072,14 @@ def chain_hash(chain: MarkovChain) -> str:
 
 def _vertex_record(chain: MarkovChain, x: int, opts: CurvatureOptions) -> dict:
     kbe, witness_be = bakry_emery_kappa(chain, x)
+    rec = {"vertex": x, "state": chain.states[x], "kappa_be": kbe, "witness_be": witness_be}
     try:
         est = cd_upsilon_kappa(chain, x, opts)
     except NonConvergence as exc:
-        return {
-            "vertex": x,
-            "state": chain.states[x],
-            "kappa_be": kbe,
-            "kappa_upsilon": float("nan"),
-            "slack": 0.0,
-            "witness": np.zeros(chain.n),
-            "witness_be": witness_be,
-            "diagnostics": dict(exc.diagnostics, nonconverged=True),
-        }
+        return dict(
+            rec, kappa_upsilon=float("nan"), slack=0.0, witness=np.zeros(chain.n),
+            diagnostics=dict(exc.diagnostics, nonconverged=True),
+        )
     witness = est.witness if est.witness is not None else np.zeros(chain.n)
     slack = 0.0
     if not est.minus_infinity:
@@ -1088,16 +1087,9 @@ def _vertex_record(chain: MarkovChain, x: int, opts: CurvatureOptions) -> dict:
         _, psi, two_psi2 = prob._objective(witness[prob.ball[: prob.dim]])
         if psi > 0:
             slack = float(0.5 * two_psi2 - est.kappa * psi)
-    return {
-        "vertex": x,
-        "state": chain.states[x],
-        "kappa_be": kbe,
-        "kappa_upsilon": est.kappa,
-        "slack": slack,
-        "witness": witness,
-        "witness_be": witness_be,
-        "diagnostics": est.diagnostics,
-    }
+    return dict(
+        rec, kappa_upsilon=est.kappa, slack=slack, witness=witness, diagnostics=est.diagnostics
+    )
 
 
 def chain_curvature_report(

@@ -282,33 +282,40 @@ def semigroup_apply(chain: MarkovChain, f, t: float) -> np.ndarray:
     return (scipy.linalg.expm(t * chain.rate_matrix) @ f.T).T
 
 
-def _grid_guard(trace: FlowTrace) -> float:
+def _grid_guard(trace: FlowTrace) -> None:
     h = float(np.max(np.diff(trace.times)))
     rate = float(np.max(trace.chain.m1))
     if h * rate > 0.1:
         raise GridTooCoarse(
             f"grid step {h:.3g} too coarse for max rate {rate:.3g}"
         )
-    return h
+
+
+def _first_residual(t, H, I) -> float:
+    """Max |centered dH/dt + I| over interior grid points."""
+    dH = (H[2:] - H[:-2]) / (t[2:] - t[:-2])
+    return float(np.max(np.abs(dH + I[1:-1]))) if len(dH) else 0.0
+
+
+def _second_residual(t, H, d2H) -> float:
+    """Max |centered d2H/dt2 - d2H| over interior points of a uniform grid."""
+    steps = np.diff(t)
+    if not np.allclose(steps, steps[0], rtol=1e-8, atol=0.0):
+        raise GridTooCoarse("second differences need a uniform grid")
+    dd = (H[2:] - 2.0 * H[1:-1] + H[:-2]) / steps[0] ** 2
+    return float(np.max(np.abs(dd - d2H[1:-1]))) if len(dd) else 0.0
 
 
 def de_bruijn_residual(trace: FlowTrace) -> float:
     """Max |centered dH/dt + I| over interior grid points."""
     _grid_guard(trace)
-    t, H, I = trace.times, trace.H, trace.I
-    dH = (H[2:] - H[:-2]) / (t[2:] - t[:-2])
-    return float(np.max(np.abs(dH + I[1:-1]))) if len(dH) else 0.0
+    return _first_residual(trace.times, trace.H, trace.I)
 
 
 def second_derivative_residual(trace: FlowTrace) -> float:
     """Max |centered d2H/dt2 - stored channel| over interior points."""
-    h = _grid_guard(trace)
-    steps = np.diff(trace.times)
-    if not np.allclose(steps, steps[0], rtol=1e-8, atol=0.0):
-        raise GridTooCoarse("second differences need a uniform grid")
-    H = trace.H
-    dd = (H[2:] - 2.0 * H[1:-1] + H[:-2]) / steps[0] ** 2
-    return float(np.max(np.abs(dd - trace.d2H[1:-1]))) if len(dd) else 0.0
+    _grid_guard(trace)
+    return _second_residual(trace.times, trace.H, trace.d2H)
 
 
 def p_flow_identities(trace: FlowTrace) -> tuple[float, float]:
@@ -316,15 +323,8 @@ def p_flow_identities(trace: FlowTrace) -> tuple[float, float]:
     if trace.p is None:
         raise InvalidParameter("trace has no power-entropy channels")
     _grid_guard(trace)
-    t, Hp, Ip = trace.times, trace.Hp, trace.Ip
-    dH = (Hp[2:] - Hp[:-2]) / (t[2:] - t[:-2])
-    r1 = float(np.max(np.abs(dH + Ip[1:-1]))) if len(dH) else 0.0
-    steps = np.diff(t)
-    if not np.allclose(steps, steps[0], rtol=1e-8, atol=0.0):
-        raise GridTooCoarse("second differences need a uniform grid")
-    dd = (Hp[2:] - 2.0 * Hp[1:-1] + Hp[:-2]) / steps[0] ** 2
-    r2 = float(np.max(np.abs(dd - trace.d2Hp[1:-1]))) if len(dd) else 0.0
-    return r1, r2
+    t, Hp = trace.times, trace.Hp
+    return _first_residual(t, Hp, trace.Ip), _second_residual(t, Hp, trace.d2Hp)
 
 
 # -- functional inequalities -----------------------------------------------------

@@ -34,6 +34,15 @@ def branched_tree5():
     )
 
 
+def operators_at(chain, p, f, x):
+    """(Psi, Psi_2) at x by the operator pipeline: of f for p = 1, of the
+    power entropy at F = exp(f) for p > 1."""
+    if p == 1.0:
+        return op.psi_upsilon(chain, f)[x], op.psi2_upsilon(chain, f)[x]
+    F = np.exp(f)
+    return op.psi_p(chain, p, F)[x], op.psi2_p(chain, p, F)[x]
+
+
 class TestVertexProblem:
     def test_two_ball_locality(self, rng):
         # Psi_2(f)(x) depends on f only through the two-ball values
@@ -53,54 +62,68 @@ class TestVertexProblem:
         )
 
     def test_reduced_matches_operators(self, rng):
-        # with private values at 2*u_y, the reduced objective equals the
-        # full operator pipeline at x
-        for chain in (
-            ch.cycle(5),
-            ch.hypercube(3),
-            branched_tree5(),
-            random_reversible_chain(rng, 6),
-        ):
-            x = 0
-            prob = cv.VertexProblem(chain, x)
-            for _ in range(20):
-                z = rng.normal(size=prob.dim) * 1.5
-                f = prob.field_from(z)
-                f_shift = f + 0.7  # ratio invariant under constants
-                _, psi_red, two_psi2 = prob._objective(z)
-                direct = op.psi2_upsilon(chain, f_shift)[x]
-                assert 0.5 * two_psi2 == pytest.approx(direct, rel=1e-11, abs=1e-12)
-                psi_direct = op.psi_upsilon(chain, f_shift)[x]
-                assert psi_red == pytest.approx(psi_direct, rel=1e-12, abs=1e-13)
+        # with private values at the inner minimum, the reduced objective
+        # equals the full operator pipeline at x, for the log entropy (p = 1)
+        # and for the power entropy of F = exp(f) (p = 1.5)
+        for p in (1.0, 1.5):
+            for chain in (
+                ch.cycle(5),
+                ch.hypercube(3),
+                branched_tree5(),
+                random_reversible_chain(rng, 6),
+            ):
+                x = 0
+                prob = cv.VertexProblem(chain, x, p)
+                for _ in range(20):
+                    z = rng.normal(size=prob.dim) * 1.5
+                    f = prob.field_from(z)
+                    _, psi_red, two_psi2 = prob._objective(z)
+                    psi_ref, psi2_ref = operators_at(chain, p, f, x)
+                    terms = prob.check_magnitude_batch(z, 1.0)
+                    assert abs(psi_red - psi_ref) <= 1e-12 * terms
+                    assert abs(0.5 * two_psi2 - psi2_ref) <= 1e-12 * terms
+                    if p == 1.0:
+                        f_shift = f + 0.7  # ratio invariant under constants
+                        direct = op.psi2_upsilon(chain, f_shift)[x]
+                        assert 0.5 * two_psi2 == pytest.approx(
+                            direct, rel=1e-11, abs=1e-12
+                        )
+                        psi_direct = op.psi_upsilon(chain, f_shift)[x]
+                        assert psi_red == pytest.approx(psi_direct, rel=1e-12, abs=1e-13)
 
     def test_private_reduction_is_the_inner_minimum(self, rng):
         # the raw check over explicit private values is never below the
-        # reduced check, and equals it at private = 2 u_y
-        tested = 0
-        for chain in (branched_tree5(), random_reversible_chain(rng, 8, p_edge=0.2)):
-            for x in range(chain.n):
-                prob = cv.VertexProblem(chain, x)
-                n_priv = prob.raw_dim - prob.dim
-                if not n_priv:
-                    continue
-                tested += 1
-                z = rng.normal(size=(20, prob.dim)) * 1.5
-                reduced = prob.check_batch(z, 0.7, 0.25)
-                rounding = 1e-13 * prob.check_magnitude_batch(z, 0.7, 0.25)
-                free = np.hstack([z, rng.normal(size=(20, n_priv)) * 3.0])
-                assert np.all(prob.check_batch(free, 0.7, 0.25) >= reduced - rounding)
-                # the raw form is the operator pipeline at any private values
-                for row in free[:5]:
-                    f = np.zeros(chain.n)
-                    f[prob.ball] = row
-                    assert 0.5 * prob._objective(row)[2] == pytest.approx(
-                        op.psi2_upsilon(chain, f)[x], rel=1e-11, abs=1e-12
+        # reduced check, and equals it at private g(z) = u_y (3-p)/(2-p)
+        for p in (1.0, 1.5):
+            tested = 0
+            for chain in (branched_tree5(), random_reversible_chain(rng, 8, p_edge=0.2)):
+                for x in range(chain.n):
+                    prob = cv.VertexProblem(chain, x, p)
+                    n_priv = prob.raw_dim - prob.dim
+                    if not n_priv:
+                        continue
+                    tested += 1
+                    z = rng.normal(size=(20, prob.dim)) * 1.5
+                    reduced = prob.check_batch(z, 0.7, 0.25)
+                    rounding = 1e-13 * prob.check_magnitude_batch(z, 0.7, 0.25)
+                    free = np.hstack([z, rng.normal(size=(20, n_priv)) * 3.0])
+                    assert np.all(prob.check_batch(free, 0.7, 0.25) >= reduced - rounding)
+                    # the raw form is the operator pipeline at any private values
+                    for row in free[:5]:
+                        f = np.zeros(chain.n)
+                        f[prob.ball] = row
+                        _, psi2_ref = operators_at(chain, p, f, x)
+                        terms = prob.check_magnitude_batch(row, 1.0)
+                        assert abs(0.5 * prob._objective(row)[2] - psi2_ref) <= 1e-12 * terms
+                    priv = z[:, prob.src[-n_priv:]] * (3.0 - p) / (2.0 - p)
+                    at_min = np.hstack([z, priv])
+                    np.testing.assert_array_equal(
+                        at_min, [prob.field_from(row)[prob.ball] for row in z]
                     )
-                at_min = np.array([prob.field_from(row)[prob.ball] for row in z])
-                np.testing.assert_allclose(
-                    prob.check_batch(at_min, 0.7, 0.25), reduced, rtol=1e-12
-                )
-        assert tested >= 2
+                    np.testing.assert_allclose(
+                        prob.check_batch(at_min, 0.7, 0.25), reduced, rtol=1e-12
+                    )
+            assert tested >= 2
 
     @pytest.mark.parametrize(
         "case",
@@ -118,24 +141,42 @@ class TestVertexProblem:
             "hypercube_shared_s2": lambda: (ch.hypercube(3), 0),
             "random_weighted": lambda: (random_reversible_chain(rng, 6), 0),
         }[case]()
-        prob = cv.VertexProblem(chain, x)
-        zs = rng.normal(size=(10, prob.dim))
-        ratios = prob.ratio_batch(zs)
-        checks = prob.check_batch(zs, 0.7, 0.25)
-        for z, ratio, check in zip(zs, ratios, checks):
-            for fun, batch_val in (
-                (prob.ratio_value_grad, ratio),
-                (lambda zz: prob.check_value_grad(zz, 0.7, 0.25), check),
-            ):
-                val, grad = fun(z)
-                assert val == pytest.approx(batch_val, rel=1e-13)
-                for i in range(prob.dim):
-                    h = 1e-6
-                    zp, zm = z.copy(), z.copy()
-                    zp[i] += h
-                    zm[i] -= h
-                    fd = (fun(zp)[0] - fun(zm)[0]) / (2 * h)
-                    assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-7)
+        for p in (1.0, 1.5):
+            prob = cv.VertexProblem(chain, x, p)
+            zs = rng.normal(size=(10, prob.dim))
+            ratios = prob.ratio_batch(zs)
+            checks = prob.check_batch(zs, 0.7, 0.25)
+            for z, ratio, check in zip(zs, ratios, checks):
+                for fun, batch_val in (
+                    (prob.ratio_value_grad, ratio),
+                    (lambda zz: prob.check_value_grad(zz, 0.7, 0.25), check),
+                ):
+                    val, grad = fun(z)
+                    assert val == pytest.approx(batch_val, rel=1e-13)
+                    for i in range(prob.dim):
+                        h = 1e-6
+                        zp, zm = z.copy(), z.copy()
+                        zp[i] += h
+                        zm[i] -= h
+                        fd = (fun(zp)[0] - fun(zm)[0]) / (2 * h)
+                        assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-7)
+
+    def test_power_kernel_tends_to_the_log_kernel(self, rng):
+        # at p = 1 + 1e-5 every output of the kernel is within O(p - 1) of
+        # the log-entropy kernel, raw and reduced, values and gradients
+        for chain, x in (
+            (branched_tree5(), 2),
+            (ch.complete(5), 0),
+            (ch.hypercube(3), 0),
+            (random_reversible_chain(rng, 6), 0),
+        ):
+            near, log = cv.VertexProblem(chain, x, 1.0 + 1e-5), cv.VertexProblem(chain, x)
+            for width in (log.dim, log.raw_dim):
+                z = rng.normal(size=(10, width))
+                for a, b in zip(near._objective(z, grad=True), log._objective(z, grad=True)):
+                    np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-4)
+            z = z[0, : log.dim]
+            np.testing.assert_allclose(near.field_from(z), log.field_from(z), rtol=1e-4)
 
 
 class TestBakryEmery:
@@ -298,21 +339,31 @@ class TestChecks:
         assert not cv.cd_upsilon_check(chain, est.kappa + 0.1, 0, FAST).holds
 
     def test_verdict_invariant_under_rate_scaling(self, rng):
-        # multiplying every rate by s scales Psi by s and Psi_2 by s^2, so
-        # CD(kappa) at s = 1 and CD(s kappa) at s must get the same verdict
+        # multiplying every rate by s scales Psi by s and Psi_2 by s^2 (also
+        # for the power entropy), so CD(kappa) at s = 1 and CD(s kappa) at s
+        # must get the same verdict
         base = random_reversible_chain(rng, 4, p_edge=1.0)
         est = cv.cd_upsilon_kappa(base, 0, FAST)
         assert not est.minus_infinity
-        for kappa in (est.kappa - 0.1, est.kappa + 0.1):
-            expect = cv.cd_upsilon_check(base, kappa, 0, FAST).holds
-            assert expect == (kappa < est.kappa)
+        p_check = lambda chain, kappa: cv.cd_p_check(chain, 1.5, kappa, 0, FAST)
+        lo, hi = -20.0, 20.0  # bisect the p-condition's constant at vertex 0
+        for _ in range(12):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if p_check(base, mid).holds else (lo, mid)
+        assert -20.0 < lo and hi < 20.0
+        cases = [
+            (lambda chain, kappa: cv.cd_upsilon_check(chain, kappa, 0, FAST), k, expect)
+            for k, expect in ((est.kappa - 0.1, True), (est.kappa + 0.1, False))
+        ] + [(p_check, lo - 0.1, True), (p_check, hi + 0.1, False)]
+        for check, kappa, expect in cases:
+            assert check(base, kappa).holds == expect
             for s in (1e4, 1e8):
                 table = {}
                 for x in range(base.n):
                     for y, k in zip(base.neighbors[x], base.rates[x]):
                         table[(x, int(y))] = s * float(k)
                 scaled = ch.chain_from_rates(base.states, table, measure=list(base.pi))
-                assert cv.cd_upsilon_check(scaled, s * kappa, 0, FAST).holds == expect
+                assert check(scaled, s * kappa).holds == expect
 
     def test_small_violation_at_large_rates_is_reported(self):
         # Poisson window around vertex m = 1e6 (birth rate 1, death rate x):
@@ -611,6 +662,19 @@ class TestCdPCheck:
             res = cv.cd_p_check(c, 1.0 + 1e-5, kappa, 0, FAST)
             assert res.holds == expect
             assert cv.cd_upsilon_check(c, kappa, 0, FAST).holds == expect
+
+    def test_small_violation_at_large_rates_is_reported(self):
+        # 0.1% above the constant ~1207107.4 of two_point(1, 1e6) at p = 1.5
+        # the slack is about -211, small next to the squared rate scale 1e12
+        # but far above its rounding error
+        c = ch.two_point(1.0, 1e6)
+        assert cv.cd_p_check(c, 1.5, 0.999 * 1207107.4, 0, FAST).holds
+        kappa = 1208314.492
+        res = cv.cd_p_check(c, 1.5, kappa, 0, FAST)
+        assert res.holds is False
+        F = res.counterexample
+        slack = op.psi2_p(c, 1.5, F)[0] - kappa / (2.0 - 1.5) * op.psi_p(c, 1.5, F)[0]
+        assert slack < 0
 
     def test_p_validation(self):
         with pytest.raises(InvalidParameter):
