@@ -36,7 +36,6 @@ from .curvature import (
     cd_upsilon_kappa,
     chain_curvature_report,
     divergence_certificate,
-    girth,
     no_lower_bound_witness,
     poisson_family_slack,
     poisson_family_violation,

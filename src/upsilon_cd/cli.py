@@ -102,11 +102,7 @@ def _emit_json(doc: dict, out: str | None, suffix: str) -> None:
 
 
 def _opts_from(args) -> CurvatureOptions:
-    return CurvatureOptions(
-        starts=args.starts,
-        amplitude=args.amplitude,
-        seed=args.seed,
-    )
+    return CurvatureOptions(starts=args.starts, seed=args.seed)
 
 
 def cmd_validate(args) -> int:
@@ -173,8 +169,7 @@ def _resolve_rho0(chain: MarkovChain, text: str) -> np.ndarray:
 def cmd_flow(args) -> int:
     chain = _resolve_chain(args.input)
     rho0 = _resolve_rho0(chain, args.rho0)
-    n_grid = int(args.grid) if args.grid else 201
-    trace = heat_flow(chain, rho0, args.T, n_grid, p=args.p)
+    trace = heat_flow(chain, rho0, args.T, args.grid, p=args.p)
     h = float(np.max(np.diff(trace.times)))
     d3 = np.gradient(trace.d2H, trace.times)
     d4 = np.gradient(d3, trace.times)
@@ -249,8 +244,6 @@ def cmd_mlsi(args) -> int:
 
 def cmd_beckner(args) -> int:
     chain = _resolve_chain(args.input)
-    if args.p is None:
-        raise UpsilonCDError("beckner needs --p")
     report = beckner_check(
         chain, args.p, args.alpha, n_samples=args.samples, seed=args.seed
     )
@@ -293,14 +286,20 @@ def cmd_tensor(args) -> int:
     return EXIT_OK if report.all_hold else EXIT_RESIDUAL
 
 
-def _add_common(sp) -> None:
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument(
-        "--starts", type=int, default=64,
+_SHARED = {
+    "seed": dict(type=int, default=0),
+    "starts": dict(
+        type=int, default=64,
         help="minimum number of multistart starts; the fixed starts (8 "
         "constants, 2 per reduced variable, 3 probes per neighbour) always run",
-    )
-    sp.add_argument("--amplitude", type=float, default=40.0)
+    ),
+}
+
+
+def _add_common(sp, *names) -> None:
+    """The shared options ``names`` (of --seed, --starts), then --out."""
+    for name in names:
+        sp.add_argument(f"--{name}", **_SHARED[name])
     sp.add_argument("--out", type=str, default=None)
 
 
@@ -320,14 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("curvature", help="per-vertex curvature report")
     sp.add_argument("input", nargs="+")
-    _add_common(sp)
+    _add_common(sp, "seed", "starts")
     sp.set_defaults(fn=cmd_curvature)
 
     sp = sub.add_parser("flow", help="heat flow trace and residuals")
     sp.add_argument("input", nargs="+")
     sp.add_argument("--rho0", type=str, default="random:0")
     sp.add_argument("--T", type=float, default=1.0)
-    sp.add_argument("--grid", type=float, default=None)
+    sp.add_argument("--grid", type=int, default=201)
     sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--kappa", type=float, default=None)
     sp.add_argument(
@@ -341,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input", nargs="+")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--samples", type=int, default=1000)
-    _add_common(sp)
+    _add_common(sp, "seed")
     sp.set_defaults(fn=cmd_mlsi)
 
     sp = sub.add_parser("beckner", help="sampled Beckner inequality check")
@@ -349,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--samples", type=int, default=1000)
-    _add_common(sp)
+    _add_common(sp, "seed")
     sp.set_defaults(fn=cmd_beckner)
 
     sp = sub.add_parser("tensor", help="product-chain curvature check")
@@ -357,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=str, required=True, help="second factor")
     sp.add_argument("--kappa1", type=float, required=True)
     sp.add_argument("--kappa2", type=float, required=True)
-    _add_common(sp)
+    _add_common(sp, "seed", "starts")
     sp.set_defaults(fn=cmd_tensor)
     return ap
 

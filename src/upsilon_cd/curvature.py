@@ -20,7 +20,6 @@ import scipy.optimize
 from .chains import MarkovChain, spec_dict
 from .errors import (
     ConditionNotMet,
-    GirthTooSmall,
     InvalidParameter,
     IsolatedVertex,
     MonotonicityViolated,
@@ -39,7 +38,6 @@ __all__ = [
     "cd_upsilon_check",
     "cd_upsilon_dim_check",
     "cd_p_check",
-    "girth",
     "no_lower_bound_witness",
     "divergence_candidates",
     "birth_death_kappa_bound",
@@ -59,20 +57,26 @@ class CurvatureOptions:
 
     ``starts`` is a minimum. The multistart driver always runs 8 constant
     starts, 2 per reduced variable and one probe point per neighbour and
-    probe tau, and tops up with random starts until it has ``starts``; so
-    ``complete(30)`` runs 153 starts at ``starts=64``.
+    probe tau (_PROBE_TAUS), and tops up with random starts until it has
+    ``starts``; so ``complete(30)`` runs 153 starts at ``starts=64``.
+    ``bound`` is the box of every descent, ``maxiter`` caps the lockstep
+    iterations and each L-BFGS-B hand-off.
     """
 
     starts: int = 64
-    amplitude: float = 40.0
     bound: float = 80.0
-    minus_inf_threshold: float = -1e6
-    probe_taus: tuple = (10.0, 20.0, 40.0)
     seed: int = 0
     maxiter: int = 400
 
 
 DEFAULT_OPTIONS = CurvatureOptions()
+
+# Largest constant start and scale of the random starts (capped at the box).
+_AMPLITUDE = 40.0
+# Slopes of the divergence-family probe starts (VertexProblem.probe_points).
+_PROBE_TAUS = (10.0, 20.0, 40.0)
+# A ratio below this is reported as -inf, and stops the descent.
+_MINUS_INF_THRESHOLD = -1e6
 
 
 class VertexProblem:
@@ -178,6 +182,11 @@ class VertexProblem:
         self._priv_coef = np.bincount(
             self.src[self._n_red :], self.coef[self._n_red :], minlength=m1
         )
+
+    def _tree_like(self) -> bool:
+        """No edge inside S1 and no shared S2 vertex: no triangle or 4-cycle
+        passes through x, the two-ball condition of the witness family."""
+        return not (self.m2 or np.any((self.tgt >= 0) & (self.tgt < self.m1)))
 
     # -- the objective kernel (last axis of z is the variable vector) ----------
 
@@ -433,7 +442,7 @@ class CheckResult:
 
 
 def _start_points(prob: VertexProblem, opts: CurvatureOptions, rng) -> list:
-    amp = min(opts.amplitude, opts.bound)
+    amp = min(_AMPLITUDE, opts.bound)
     pts = []
     for g in (0.8, 3.0, 10.0, amp):
         pts.append(np.full(prob.dim, g))
@@ -443,7 +452,7 @@ def _start_points(prob: VertexProblem, opts: CurvatureOptions, rng) -> list:
             z = np.zeros(prob.dim)
             z[i] = g
             pts.append(z)
-    pts.extend(prob.probe_points([-t for t in opts.probe_taus]))
+    pts.extend(prob.probe_points([-t for t in _PROBE_TAUS]))
     scales = (0.5, 2.0, 8.0, 0.25 * amp)
     while len(pts) < opts.starts:
         z = rng.normal(size=prob.dim) * scales[len(pts) % len(scales)]
@@ -477,8 +486,8 @@ def _lbfgsb(fun, z0, opts: CurvatureOptions):
     )
 
 
-def _below_threshold(f, status, opts: CurvatureOptions) -> bool:
-    return bool(np.any(f[status != _FAIL] < opts.minus_inf_threshold))
+def _below_threshold(f, status) -> bool:
+    return bool(np.any(f[status != _FAIL] < _MINUS_INF_THRESHOLD))
 
 
 def _armijo(z0, f0, g0, z1, f1, g1) -> np.ndarray:
@@ -545,9 +554,10 @@ def _lockstep(batch_fun, z, opts: CurvatureOptions, block: int):
     converges on the projected-gradient or the relative-decrease rule
     (_GTOL, _FTOL); it is handed off to L-BFGS-B when its accepted step was
     clipped by the box, when no ladder step satisfies Armijo, or at
-    ``opts.maxiter``; it fails when its start value is not finite. Stops
-    early once a row falls below ``opts.minus_inf_threshold``. ``block``
-    caps the rows of one ladder call. Returns
+    ``opts.maxiter``; it fails when its start value is not finite. A row
+    that converges here meets L-BFGS-B's own stopping rule, so it gets no
+    further descent. Stops early once a row falls below
+    _MINUS_INF_THRESHOLD. ``block`` caps the rows of one ladder call. Returns
     (z, values, status), status per row one of _ACTIVE ... _FAIL.
     """
     lo, hi = -opts.bound, opts.bound
@@ -559,7 +569,7 @@ def _lockstep(batch_fun, z, opts: CurvatureOptions, block: int):
     h = np.tile(np.eye(dim), (n, 1, 1))
     fresh = np.ones(n, dtype=bool)  # h is still the unscaled identity
     for it in range(opts.maxiter + 1):
-        if _below_threshold(f, status, opts):
+        if _below_threshold(f, status):
             break
         act = np.flatnonzero(status == _ACTIVE)
         pg = np.abs(np.clip(z[act] - g[act], lo, hi) - z[act]).max(axis=1)
@@ -599,10 +609,10 @@ def _multistart(prob, batch_fun, fun, opts: CurvatureOptions, rng):
     ``batch_fun`` gives value and gradient over the rows of a 2-D z, ``fun``
     the same for one point. All starts descend in lockstep (_lockstep);
     each handed-off row is finished by one L-BFGS-B descent from where it
-    stopped, and a winner that converged in lockstep gets one L-BFGS-B
-    polish. The diagnostics count how each start ended: ``n_converged`` in
-    lockstep, ``n_handoff`` to L-BFGS-B, ``n_fail`` at a non-finite start;
-    rows left running by the ``minus_inf_threshold`` stop count in none.
+    stopped, the only other descent. The diagnostics count how each start
+    ended: ``n_converged`` in lockstep, ``n_handoff`` to L-BFGS-B,
+    ``n_fail`` at a non-finite start; rows left running by the
+    _MINUS_INF_THRESHOLD stop count in none.
     """
     starts = np.array(_start_points(prob, opts, rng))
     block = max(1, _BLOCK_ELEMENTS // len(prob.coef))
@@ -614,7 +624,7 @@ def _multistart(prob, batch_fun, fun, opts: CurvatureOptions, rng):
         "n_handoff": int(np.sum(status == _HANDOFF)),
     }
     for i in np.flatnonzero(status == _HANDOFF):
-        if _below_threshold(f, status, opts):
+        if _below_threshold(f, status):
             break
         res = _lbfgsb(fun, z[i], opts)
         if res.fun < f[i]:
@@ -623,25 +633,8 @@ def _multistart(prob, batch_fun, fun, opts: CurvatureOptions, rng):
     if not finite.size:
         raise NonConvergence("no start converged to a finite value", diagnostics=diag)
     best = finite[np.argmin(f[finite])]
-    if status[best] == _CONVERGED and not _below_threshold(f, status, opts):
-        res = _lbfgsb(fun, z[best], opts)
-        if res.fun < f[best]:
-            z[best], f[best] = res.x, res.fun
     best_val = float(f[best])
     return z[best].copy(), best_val, dict(diag, best_val=best_val)
-
-
-def _ray_polish(prob: VertexProblem, z: np.ndarray, val: float):
-    """Scan the ray s*z for s -> 0; picks up infima attained in the
-    small-field (quadratic-calculus) limit."""
-    if not np.any(z):
-        return z, val
-    zs = z * 0.5 ** np.arange(1, 50)[:, None]
-    v = prob.ratio_batch(zs)
-    k = int(np.argmin(v))
-    if v[k] < val:
-        return zs[k], float(v[k])
-    return z, val
 
 
 def _rng_for(opts: CurvatureOptions, x: int):
@@ -653,13 +646,13 @@ def cd_upsilon_kappa(
 ) -> VertexEstimate:
     """Estimate the optimal exponential-calculus constant at x.
 
-    Reports -inf when the ratio falls below ``opts.minus_inf_threshold``
-    (divergent witness family found), otherwise the best ratio found with a
-    near-tight witness field.
+    Reports -inf when the divergence certificate applies or the descent
+    falls below _MINUS_INF_THRESHOLD, otherwise the lowest ratio the
+    multistart descent (_multistart) reached, with its field as witness.
     """
     # Divergence first: the witness family drives the ratio below any bound
     # (linearly in tau) exactly when the branching condition holds.
-    cert = divergence_certificate(chain, x, opts.minus_inf_threshold)
+    cert = divergence_certificate(chain, x, _MINUS_INF_THRESHOLD)
     if cert is not None:
         tau_star, y1, witness = cert
         return VertexEstimate(
@@ -672,9 +665,8 @@ def cd_upsilon_kappa(
     prob = VertexProblem(chain, x)
     rng = _rng_for(opts, x)
     z, val, diag = _multistart(prob, prob._ratio_vg, prob.ratio_value_grad, opts, rng)
-    if val < opts.minus_inf_threshold:
+    if val < _MINUS_INF_THRESHOLD:
         return VertexEstimate(x, float("-inf"), prob.field_from(z), diag)
-    z, val = _ray_polish(prob, z, val)
     return VertexEstimate(x, val, prob.field_from(z), diag)
 
 
@@ -757,40 +749,17 @@ def cd_p_check(
 # -- structural witnesses ---------------------------------------------------------
 
 
-def girth(chain: MarkovChain) -> float:
-    """Length of the shortest cycle of the support graph (inf for forests)."""
-    best = math.inf
-    for root in range(chain.n):
-        dist = np.full(chain.n, -1)
-        parent = np.full(chain.n, -1)
-        dist[root] = 0
-        queue = [root]
-        while queue:
-            nxt = []
-            for a in queue:
-                for bnd in chain.neighbors[a]:
-                    bnd = int(bnd)
-                    if dist[bnd] < 0:
-                        dist[bnd] = dist[a] + 1
-                        parent[bnd] = a
-                        nxt.append(bnd)
-                    elif parent[a] != bnd and a < bnd:
-                        best = min(best, int(dist[a] + dist[bnd] + 1))
-            queue = nxt
-    return best
-
-
 def no_lower_bound_witness(chain: MarkovChain, x: int, y: int, tau: float) -> np.ndarray:
     """The diverging witness family at a branching edge (x, y).
 
-    Requires girth >= 5 and M1(x) + M1(y) - 2(k(x,y) + k(y,x)) > 0; the
-    returned field sends the curvature ratio at x to -inf as tau -> -inf.
+    Requires a two-ball at x with no triangle or 4-cycle through x and
+    M1(x) + M1(y) - 2(k(x,y) + k(y,x)) > 0; the returned field sends the
+    curvature ratio at x to -inf as tau -> -inf.
     """
     if chain.rate(x, y) <= 0.0:
         raise ConditionNotMet(f"states {x} and {y} are not adjacent")
-    g = girth(chain)
-    if g < 5:
-        raise GirthTooSmall(f"girth {g} < 5")
+    if not VertexProblem(chain, x)._tree_like():
+        raise ConditionNotMet(f"a triangle or 4-cycle passes through state {x}")
     if not _branching(chain, x, y):
         raise ConditionNotMet(
             "M1(x) + M1(y) - 2(k(x,y) + k(y,x)) is not strictly positive"
@@ -844,8 +813,7 @@ def divergence_certificate(chain: MarkovChain, x: int, threshold: float):
     4-cycle through x). Divergence is certified when margin > 0; returns
     (tau_star, y1, witness) with ratio(tau_star) < threshold, else None.
     """
-    prob = VertexProblem(chain, x)
-    if np.any((prob.tgt >= 0) & (prob.tgt < prob.m1)) or prob.m2:
+    if not VertexProblem(chain, x)._tree_like():
         return None
     best = None
     for y1 in divergence_candidates(chain, x):
@@ -1113,8 +1081,8 @@ def chain_curvature_report(
         seed=opts.seed,
         opts={
             "starts": opts.starts,
-            "amplitude": opts.amplitude,
-            "minus_inf_threshold": opts.minus_inf_threshold,
+            "amplitude": _AMPLITUDE,
+            "minus_inf_threshold": _MINUS_INF_THRESHOLD,
         },
         any_nonconverged=nonconverged,
     )

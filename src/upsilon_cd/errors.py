@@ -62,10 +62,6 @@ class ConditionNotMet(UpsilonCDError):
     """The divergence-witness precondition fails at the requested edge."""
 
 
-class GirthTooSmall(UpsilonCDError):
-    """The chain's girth is below the required bound."""
-
-
 class MonotonicityViolated(UpsilonCDError):
     """Birth/death rates are not strictly monotone where required."""
 

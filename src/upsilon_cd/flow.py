@@ -147,9 +147,9 @@ class FlowTrace:
         if self.p is not None:
             cols += ["Hp", "Ip"]
             data += [self.Hp, self.Ip]
-        lines = [",".join(cols)]
-        for row in zip(*data):
-            lines.append(",".join(f"{v:.17g}" for v in row))
+        fmt = ",".join(["%.17g"] * len(cols))
+        rows = zip(*(col.tolist() for col in data))
+        lines = [",".join(cols)] + [fmt % row for row in rows]
         return "\n".join(lines) + "\n"
 
     def decay_check(self, kappa: float) -> InequalityReport:

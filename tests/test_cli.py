@@ -121,6 +121,15 @@ class TestCurvature:
         assert "minus_infinity" in kus
         assert "minus_infinity" in (tmp_path / "t.curvature.csv").read_text()
 
+    def test_default_opts_block(self, tmp_path):
+        assert main(["curvature", "family", "complete", "2",
+                     "--out", str(tmp_path / "k2")]) == 0
+        doc = json.loads((tmp_path / "k2.curvature.json").read_text())
+        assert doc["seed"] == 0
+        assert doc["opts"] == {
+            "starts": 64, "amplitude": 40.0, "minus_inf_threshold": -1e6
+        }
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["curvature", "family", "two_point", "1.0", "2.0",
                 "--seed", "7", "--starts", "16"]
@@ -189,6 +198,23 @@ class TestFlow:
         doc = json.loads((tmp_path / "bad.flow.json").read_text())
         assert not doc["decay_holds"]
 
+    def test_default_grid(self, tmp_path):
+        assert main(["flow", "family", "complete", "2", "--rho0", "[1.5, 0.5]",
+                     "--out", str(tmp_path / "g")]) == 0
+        assert json.loads((tmp_path / "g.flow.json").read_text())["n_times"] == 201
+
+    def test_grid_zero_is_invalid(self, tmp_path, capsys):
+        code = main(["flow", "family", "complete", "2", "--grid", "0",
+                     "--out", str(tmp_path / "g0")])
+        assert code == 2
+        assert "InvalidParameter" in capsys.readouterr().err
+        assert not (tmp_path / "g0.flow.csv").exists()
+
+    def test_fractional_grid_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", "family", "complete", "2", "--grid", "2.7"])
+        assert exc.value.code == 1
+
 
 class TestMlsiBeckner:
     def test_mlsi_pass(self, capsys):
@@ -242,6 +268,15 @@ class TestUsage:
     def test_missing_command_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             main([])
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "family", "complete", "2", "--starts", "5"],
+        ["curvature", "family", "complete", "2", "--amplitude", "3"],
+    ])
+    def test_flags_a_command_does_not_read_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 1
 
     def test_unreadable_input_is_usage_error(self):
