@@ -125,12 +125,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_family(args) -> int:
-    chain = _resolve_chain(args.input)
-    doc = spec_dict(chain)
-    if args.out:
-        _atomic_write(f"{args.out}.chain.json", json.dumps(doc, indent=1) + "\n")
-    else:
-        sys.stdout.write(json.dumps(doc, indent=1) + "\n")
+    _emit_json(spec_dict(_resolve_chain(args.input)), args.out, ".chain.json")
     return EXIT_OK
 
 

@@ -75,7 +75,8 @@ DEFAULT_OPTIONS = CurvatureOptions()
 _AMPLITUDE = 40.0
 # Slopes of the divergence-family probe starts (VertexProblem.probe_points).
 _PROBE_TAUS = (10.0, 20.0, 40.0)
-# A ratio below this is reported as -inf, and stops the descent.
+# Level that divergence_certificate's family line must reach: it reports the
+# tau_at_threshold where it does and picks the neighbour that gets there first.
 _MINUS_INF_THRESHOLD = -1e6
 
 
@@ -363,17 +364,18 @@ class VertexProblem:
         f[self.s2_private] = self._priv_factor * z[self.src[self._n_red :]]
         return f
 
+    def family_point(self, i: int, tau: float) -> np.ndarray:
+        """The witness family's reduced point through neighbour i: -tau at
+        s1[i], tau at the other neighbours and 2 tau on shared S2 (field_from
+        puts each private S2 vertex at twice its neighbour's value at p = 1)."""
+        z = np.full(self.dim, float(tau))
+        z[i] = -float(tau)
+        z[self.m1 :] = 2.0 * float(tau)
+        return z
+
     def probe_points(self, taus) -> list:
         """Divergence-family patterns: one descending neighbour, the rest rising."""
-        pts = []
-        for i in range(self.m1):
-            for t in taus:
-                z = np.full(self.dim, float(t))
-                z[i] = -float(t)
-                if self.m2:
-                    z[self.m1 :] = 2.0 * float(t)
-                pts.append(z)
-        return pts
+        return [self.family_point(i, t) for i in range(self.m1) for t in taus]
 
 
 def _ups_terms(r: np.ndarray) -> np.ndarray:
@@ -471,7 +473,7 @@ _LADDER = 0.5 ** np.arange(1, 31)
 # Rows times second-step edges per kernel call of the ladder: bounds each
 # temporary of the call at 2 MB on large two-balls.
 _BLOCK_ELEMENTS = 2**18
-# How a start ended; _ACTIVE rows were left running by the -inf stop.
+# How a start ended (_ACTIVE while it still descends in lockstep).
 _ACTIVE, _CONVERGED, _HANDOFF, _FAIL = range(4)
 
 
@@ -484,10 +486,6 @@ def _lbfgsb(fun, z0, opts: CurvatureOptions):
         bounds=[(-opts.bound, opts.bound)] * len(z0),
         options=dict(maxiter=opts.maxiter, ftol=_FTOL, gtol=_GTOL),
     )
-
-
-def _below_threshold(f, status) -> bool:
-    return bool(np.any(f[status != _FAIL] < _MINUS_INF_THRESHOLD))
 
 
 def _armijo(z0, f0, g0, z1, f1, g1) -> np.ndarray:
@@ -556,9 +554,9 @@ def _lockstep(batch_fun, z, opts: CurvatureOptions, block: int):
     clipped by the box, when no ladder step satisfies Armijo, or at
     ``opts.maxiter``; it fails when its start value is not finite. A row
     that converges here meets L-BFGS-B's own stopping rule, so it gets no
-    further descent. Stops early once a row falls below
-    _MINUS_INF_THRESHOLD. ``block`` caps the rows of one ladder call. Returns
-    (z, values, status), status per row one of _ACTIVE ... _FAIL.
+    further descent. Every row ends in one of these three ways, whatever its
+    value. ``block`` caps the rows of one ladder call. Returns
+    (z, values, status), status per row one of _CONVERGED, _HANDOFF, _FAIL.
     """
     lo, hi = -opts.bound, opts.bound
     n, dim = z.shape
@@ -569,8 +567,6 @@ def _lockstep(batch_fun, z, opts: CurvatureOptions, block: int):
     h = np.tile(np.eye(dim), (n, 1, 1))
     fresh = np.ones(n, dtype=bool)  # h is still the unscaled identity
     for it in range(opts.maxiter + 1):
-        if _below_threshold(f, status):
-            break
         act = np.flatnonzero(status == _ACTIVE)
         pg = np.abs(np.clip(z[act] - g[act], lo, hi) - z[act]).max(axis=1)
         status[act[pg <= _GTOL]] = _CONVERGED
@@ -611,8 +607,7 @@ def _multistart(prob, batch_fun, fun, opts: CurvatureOptions, rng):
     each handed-off row is finished by one L-BFGS-B descent from where it
     stopped, the only other descent. The diagnostics count how each start
     ended: ``n_converged`` in lockstep, ``n_handoff`` to L-BFGS-B,
-    ``n_fail`` at a non-finite start; rows left running by the
-    _MINUS_INF_THRESHOLD stop count in none.
+    ``n_fail`` at a non-finite start; they sum to ``n_starts``.
     """
     starts = np.array(_start_points(prob, opts, rng))
     block = max(1, _BLOCK_ELEMENTS // len(prob.coef))
@@ -624,8 +619,6 @@ def _multistart(prob, batch_fun, fun, opts: CurvatureOptions, rng):
         "n_handoff": int(np.sum(status == _HANDOFF)),
     }
     for i in np.flatnonzero(status == _HANDOFF):
-        if _below_threshold(f, status):
-            break
         res = _lbfgsb(fun, z[i], opts)
         if res.fun < f[i]:
             z[i], f[i] = res.x, res.fun
@@ -646,13 +639,14 @@ def cd_upsilon_kappa(
 ) -> VertexEstimate:
     """Estimate the optimal exponential-calculus constant at x.
 
-    Reports -inf when the divergence certificate applies or the descent
-    falls below _MINUS_INF_THRESHOLD, otherwise the lowest ratio the
-    multistart descent (_multistart) reached, with its field as witness.
+    Reports -inf only when the divergence certificate applies, otherwise
+    the lowest ratio the multistart descent (_multistart) reached, with its
+    field as witness, however low (the ratio is homogeneous of degree 1 in
+    the rates, so no fixed level separates a large finite value from -inf).
     """
     # Divergence first: the witness family drives the ratio below any bound
     # (linearly in tau) exactly when the branching condition holds.
-    cert = divergence_certificate(chain, x, _MINUS_INF_THRESHOLD)
+    cert = divergence_certificate(chain, x)
     if cert is not None:
         tau_star, y1, witness = cert
         return VertexEstimate(
@@ -665,8 +659,6 @@ def cd_upsilon_kappa(
     prob = VertexProblem(chain, x)
     rng = _rng_for(opts, x)
     z, val, diag = _multistart(prob, prob._ratio_vg, prob.ratio_value_grad, opts, rng)
-    if val < _MINUS_INF_THRESHOLD:
-        return VertexEstimate(x, float("-inf"), prob.field_from(z), diag)
     return VertexEstimate(x, val, prob.field_from(z), diag)
 
 
@@ -758,13 +750,15 @@ def no_lower_bound_witness(chain: MarkovChain, x: int, y: int, tau: float) -> np
     """
     if chain.rate(x, y) <= 0.0:
         raise ConditionNotMet(f"states {x} and {y} are not adjacent")
-    if not VertexProblem(chain, x)._tree_like():
+    prob = VertexProblem(chain, x)
+    if not prob._tree_like():
         raise ConditionNotMet(f"a triangle or 4-cycle passes through state {x}")
     if not _branching(chain, x, y):
         raise ConditionNotMet(
             "M1(x) + M1(y) - 2(k(x,y) + k(y,x)) is not strictly positive"
         )
-    return _family_field(chain, x, y, tau)
+    i = int(np.flatnonzero(prob.s1 == y)[0])
+    return prob.field_from(prob.family_point(i, tau))
 
 
 def _margin(chain: MarkovChain, x: int, y: int) -> float:
@@ -779,27 +773,12 @@ def _branching(chain: MarkovChain, x: int, y: int) -> bool:
     return _margin(chain, x, y) > 1e-12 * float(chain.m1[x] + chain.m1[y])
 
 
-def _family_field(chain: MarkovChain, x: int, y: int, tau: float) -> np.ndarray:
-    """The witness family at x through y: -tau at y, tau at the other
-    neighbours of x, and twice its neighbour's value on each second-step
-    vertex (in neighbour order, the last write wins)."""
-    f = np.zeros(chain.n)
-    s1 = [int(v) for v in chain.neighbors[x]]
-    for v in s1:
-        f[v] = -tau if v == y else tau
-    for v in s1:
-        for z in chain.neighbors[v]:
-            if z != x:
-                f[z] = 2.0 * f[v]
-    return f
-
-
 def divergence_candidates(chain: MarkovChain, x: int) -> list:
     """Neighbours y of x satisfying the divergence margin condition."""
     return [int(y) for y in chain.neighbors[x] if _branching(chain, x, int(y))]
 
 
-def divergence_certificate(chain: MarkovChain, x: int, threshold: float):
+def divergence_certificate(chain: MarkovChain, x: int):
     """Detect ratio divergence at x via the witness family's exact asymptote.
 
     Along the family (one descending neighbour y1, the rest ascending with
@@ -811,9 +790,12 @@ def divergence_certificate(chain: MarkovChain, x: int, threshold: float):
     valid when the two-ball of x has no edge inside the first sphere and no
     second-sphere vertex shared by two first-sphere vertices (no triangle or
     4-cycle through x). Divergence is certified when margin > 0; returns
-    (tau_star, y1, witness) with ratio(tau_star) < threshold, else None.
+    (tau_star, y1, witness), where y1's line reaches _MINUS_INF_THRESHOLD at
+    tau_star and no other neighbour's line gets there first, else None. It
+    is the only source of a reported -inf (cd_upsilon_kappa).
     """
-    if not VertexProblem(chain, x)._tree_like():
+    prob = VertexProblem(chain, x)
+    if not prob._tree_like():
         return None
     best = None
     for y1 in divergence_candidates(chain, x):
@@ -824,13 +806,14 @@ def divergence_certificate(chain: MarkovChain, x: int, threshold: float):
             y = int(y)
             if y != y1:
                 offset += chain.rate(x, y) * chain.rate(y, x)
-        tau_star = (threshold - 1.0 - offset / (2.0 * c1)) * 2.0 / margin
+        tau_star = (_MINUS_INF_THRESHOLD - 1.0 - offset / (2.0 * c1)) * 2.0 / margin
         if best is None or tau_star > best[0]:
             best = (float(tau_star), y1)
     if best is None:
         return None
     tau_star, y1 = best
-    return tau_star, y1, _family_field(chain, x, y1, -40.0)
+    i1 = int(np.flatnonzero(prob.s1 == y1)[0])
+    return tau_star, y1, prob.field_from(prob.family_point(i1, -40.0))
 
 
 # -- example-family certificates ---------------------------------------------------

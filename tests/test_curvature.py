@@ -33,6 +33,15 @@ def branched_tree5():
     )
 
 
+def scaled(chain, s):
+    """The chain with every rate multiplied by s, same measure."""
+    table = {}
+    for x in range(chain.n):
+        for y, k in zip(chain.neighbors[x], chain.rates[x]):
+            table[(x, int(y))] = s * float(k)
+    return ch.chain_from_rates(chain.states, table, measure=list(chain.pi))
+
+
 def operators_at(chain, p, f, x):
     """(Psi, Psi_2) at x by the operator pipeline: of f for p = 1, of the
     power entropy at F = exp(f) for p > 1."""
@@ -255,16 +264,32 @@ class TestCdUpsilonKappa:
         est = cv.cd_upsilon_kappa(chain, 2, opts)
         assert est.kappa == pytest.approx(-3.1740371704462, abs=1e-9)
 
-    @pytest.mark.parametrize("check", [False, True], ids=["ratio", "check"])
-    def test_every_start_is_counted_once(self, check):
+    @pytest.mark.parametrize("case", ["ratio", "check", "failing_check"])
+    def test_every_start_is_counted_once(self, case):
         k4 = ch.complete(4)
-        if check:
+        if case == "check":
             diag = cv.cd_upsilon_check(k4, 2.0, 0).diagnostics
+        elif case == "failing_check":
+            # the 3-star centre fails CD(0) by far: the slack falls without
+            # bound toward the box, and no start may be left uncounted
+            s3 = ch.star([1.0] * 3, [1.0] * 3)
+            diag = cv.cd_upsilon_check(s3, 0.0, 0).diagnostics
         else:
             diag = cv.cd_upsilon_kappa(k4, 0).diagnostics
         counts = diag["n_converged"], diag["n_handoff"], diag["n_fail"]
         assert sum(counts) == diag["n_starts"] == cv.DEFAULT_OPTIONS.starts
         assert diag["n_converged"] > 0
+
+    def test_rate_scale_never_makes_kappa_minus_infinity(self):
+        # the ratio is homogeneous of degree 1 in the rates: no certificate
+        # applies here, so a large rate scale must give s kappa, not -inf
+        chain = random_reversible_chain(np.random.default_rng([77, 2]), 6)
+        opts = cv.CurvatureOptions(starts=24, seed=3)
+        base = cv.cd_upsilon_kappa(chain, 1, opts)
+        assert math.isfinite(base.kappa) and base.kappa < 0
+        for s in (1e6, 1e7):
+            est = cv.cd_upsilon_kappa(scaled(chain, s), 1, opts)
+            assert est.kappa == pytest.approx(s * base.kappa, rel=1e-9)
 
     def test_branched_tree_minus_infinity(self):
         tree = branched_tree5()
@@ -314,16 +339,11 @@ class TestCdUpsilonKappa:
     def test_kernel_scaling_covariance(self, rng):
         base = random_reversible_chain(rng, 4, p_edge=1.0)
         for c in (0.5, 3.0):
-            table = {}
-            for x in range(base.n):
-                for y, k in zip(base.neighbors[x], base.rates[x]):
-                    table[(x, int(y))] = c * float(k)
-            scaled = ch.chain_from_rates(base.states, table, measure=list(base.pi))
             kb0, _ = cv.bakry_emery_kappa(base, 0)
-            kb1, _ = cv.bakry_emery_kappa(scaled, 0)
+            kb1, _ = cv.bakry_emery_kappa(scaled(base, c), 0)
             assert kb1 == pytest.approx(c * kb0, rel=1e-10)
             e0 = cv.cd_upsilon_kappa(base, 0, FAST)
-            e1 = cv.cd_upsilon_kappa(scaled, 0, FAST)
+            e1 = cv.cd_upsilon_kappa(scaled(base, c), 0, FAST)
             assert e1.kappa == pytest.approx(c * e0.kappa, rel=1e-5, abs=1e-7)
 
 
@@ -357,12 +377,7 @@ class TestChecks:
         for check, kappa, expect in cases:
             assert check(base, kappa).holds == expect
             for s in (1e4, 1e8):
-                table = {}
-                for x in range(base.n):
-                    for y, k in zip(base.neighbors[x], base.rates[x]):
-                        table[(x, int(y))] = s * float(k)
-                scaled = ch.chain_from_rates(base.states, table, measure=list(base.pi))
-                assert check(scaled, s * kappa).holds == expect
+                assert check(scaled(base, s), s * kappa).holds == expect
 
     def test_small_violation_at_large_rates_is_reported(self):
         # Poisson window around vertex m = 1e6 (birth rate 1, death rate x):
