@@ -26,7 +26,7 @@ from .errors import (
     NonConvergence,
     NotAStar,
 )
-from .kernels import omega, omega_prime, ups, ups_prime
+from .kernels import _SERIES_CUT, omega, omega_prime, ups, ups_prime
 
 __all__ = [
     "CurvatureOptions",
@@ -321,12 +321,24 @@ class VertexProblem:
             rounding = eau * (rounding + eu * np.abs(ups_prime(ad) * d))
         return terms, rounding
 
-    # -- value and gradient for the quasi-Newton descent ------------------------
-    # The _*_vg forms work over the last axis of z; the public 1-D forms are
-    # what a single L-BFGS-B descent calls.
+    # -- value and gradient -----------------------------------------------------
+    # The ratio is the one objective of every descent (_multistart), for the
+    # constant and for each check: _ratio_vg works over the last axis of z
+    # (the lockstep rows), ratio_value_grad is what a single L-BFGS-B descent
+    # calls. check_value_grad is the slack's value and gradient at one point.
 
-    def _ratio_vg(self, z: np.ndarray):
-        _, psi, two_psi2, dpsi, g = self._objective(z, grad=True)
+    def _dlf(self, z: np.ndarray):
+        """dLf/du at z (d L phi_p'/du = c e^{a u} for p > 1)."""
+        u = np.asarray(z, dtype=float)[..., : self.m1]
+        return self.c * np.exp(self.a * u) if self.a else self.c
+
+    def _ratio_vg(self, z: np.ndarray, inv_d: float = 0.0):
+        """(2 Psi_2 - 2 inv_d (Lf)^2) / (2 Psi) and its gradient; a flat
+        point (Psi = 0) reads 1e100 with gradient 0."""
+        lf, psi, two_psi2, dpsi, g = self._objective(z, grad=True)
+        if inv_d:
+            two_psi2 = two_psi2 - 2.0 * inv_d * lf * lf
+            g[..., : self.m1] -= 4.0 * inv_d * lf[..., None] * self._dlf(z)
         flat = psi < 1e-300
         with np.errstate(divide="ignore", invalid="ignore"):
             val = two_psi2 / (2.0 * psi)
@@ -335,23 +347,16 @@ class VertexProblem:
         grad[flat] = 0.0
         return np.where(flat, 1e100, val), grad
 
-    def _check_vg(self, z: np.ndarray, kappa: float, inv_d: float = 0.0):
-        lf, psi, two_psi2, dpsi, g = self._objective(z, grad=True)
-        val = 0.5 * two_psi2 - kappa * psi
-        grad = 0.5 * g
-        grad[..., : self.m1] -= kappa * dpsi
-        if inv_d:
-            dlf = self.c * np.exp(self.a * z[..., : self.m1]) if self.a else self.c
-            val = val - inv_d * lf * lf
-            grad[..., : self.m1] -= 2.0 * inv_d * lf[..., None] * dlf
-        return val, grad
-
-    def ratio_value_grad(self, z: np.ndarray):
-        val, grad = self._ratio_vg(z)
+    def ratio_value_grad(self, z: np.ndarray, inv_d: float = 0.0):
+        val, grad = self._ratio_vg(z, inv_d)
         return float(val), grad
 
     def check_value_grad(self, z: np.ndarray, kappa: float, inv_d: float = 0.0):
-        val, grad = self._check_vg(z, kappa, inv_d)
+        """check_batch(z, kappa, inv_d) and its gradient at one point."""
+        lf, psi, two_psi2, dpsi, g = self._objective(z, grad=True)
+        val = 0.5 * two_psi2 - kappa * psi - inv_d * lf * lf
+        grad = 0.5 * g
+        grad[: self.m1] -= kappa * dpsi + 2.0 * inv_d * lf * self._dlf(z)
         return float(val), grad
 
     # -- embedding back into a full field ---------------------------------------
@@ -379,13 +384,18 @@ class VertexProblem:
 
 
 def _ups_terms(r: np.ndarray) -> np.ndarray:
-    """|e^r - 1| + |r|: bounds the terms ups(r) is computed from."""
-    return np.abs(np.expm1(r)) + np.abs(r)
+    """Bounds the terms ups(r) is computed from: |e^r - 1| + |r| for the
+    direct formula, and for |r| <= _SERIES_CUT the series r^2/2 poly(r),
+    whose positive coefficients make ups(|r|) the sum of its terms' sizes."""
+    a = np.abs(r)
+    return np.where(a <= _SERIES_CUT, ups(a), np.abs(np.expm1(r)) + a)
 
 
 def _omega_terms(r: np.ndarray) -> np.ndarray:
-    """|e^r - 1| (1 + |r|) + |r|: bounds the terms omega(r) is computed from."""
-    return np.abs(np.expm1(r)) * (1.0 + np.abs(r)) + np.abs(r)
+    """Bounds the terms omega(r) is computed from: |e^r - 1| (1 + |r|) + |r|
+    for the direct formula, omega(|r|) for the series (see _ups_terms)."""
+    a = np.abs(r)
+    return np.where(a <= _SERIES_CUT, omega(a), np.abs(np.expm1(r)) * (1.0 + a) + a)
 
 
 # -- Bakry-Emery ----------------------------------------------------------------
@@ -437,6 +447,13 @@ class VertexEstimate:
 
 @dataclass
 class CheckResult:
+    """Verdict of a CD check at one vertex.
+
+    ``worst_slack`` is the slack Psi_2 - kappa Psi (- inv_d (Lf)^2) at the
+    minimiser of the condition's ratio, which the check decides on; the
+    counterexample is the field there when the check fails.
+    """
+
     holds: bool
     worst_slack: float
     counterexample: np.ndarray | None = None
@@ -599,19 +616,21 @@ def _lockstep(batch_fun, z, opts: CurvatureOptions, block: int):
     return z, f, status
 
 
-def _multistart(prob, batch_fun, fun, opts: CurvatureOptions, rng):
-    """Minimize from every start; returns (best_z, best_val, diagnostics).
+def _multistart(prob: VertexProblem, inv_d: float, opts: CurvatureOptions):
+    """Minimize the ratio (2 Psi_2 - 2 inv_d (Lf)^2)/(2 Psi) of ``prob``
+    from every start; returns (best_z, best_val, diagnostics).
 
-    ``batch_fun`` gives value and gradient over the rows of a 2-D z, ``fun``
-    the same for one point. All starts descend in lockstep (_lockstep);
-    each handed-off row is finished by one L-BFGS-B descent from where it
-    stopped, the only other descent. The diagnostics count how each start
-    ended: ``n_converged`` in lockstep, ``n_handoff`` to L-BFGS-B,
-    ``n_fail`` at a non-finite start; they sum to ``n_starts``.
+    The random starts draw from the (seed, x) generator, so a vertex gets
+    the same starts wherever it is solved. All starts descend in lockstep
+    (_lockstep); each handed-off row is finished by one L-BFGS-B descent
+    from where it stopped, the only other descent. The diagnostics count
+    how each start ended: ``n_converged`` in lockstep, ``n_handoff`` to
+    L-BFGS-B, ``n_fail`` at a non-finite start; they sum to ``n_starts``.
     """
+    rng = np.random.default_rng((opts.seed, prob.x))
     starts = np.array(_start_points(prob, opts, rng))
     block = max(1, _BLOCK_ELEMENTS // len(prob.coef))
-    z, f, status = _lockstep(batch_fun, starts, opts, block)
+    z, f, status = _lockstep(lambda zz: prob._ratio_vg(zz, inv_d), starts, opts, block)
     diag = {
         "n_starts": len(starts),
         "n_fail": int(np.sum(status == _FAIL)),
@@ -619,7 +638,7 @@ def _multistart(prob, batch_fun, fun, opts: CurvatureOptions, rng):
         "n_handoff": int(np.sum(status == _HANDOFF)),
     }
     for i in np.flatnonzero(status == _HANDOFF):
-        res = _lbfgsb(fun, z[i], opts)
+        res = _lbfgsb(lambda zz: prob.ratio_value_grad(zz, inv_d), z[i], opts)
         if res.fun < f[i]:
             z[i], f[i] = res.x, res.fun
     finite = np.flatnonzero(status != _FAIL)
@@ -628,10 +647,6 @@ def _multistart(prob, batch_fun, fun, opts: CurvatureOptions, rng):
     best = finite[np.argmin(f[finite])]
     best_val = float(f[best])
     return z[best].copy(), best_val, dict(diag, best_val=best_val)
-
-
-def _rng_for(opts: CurvatureOptions, x: int):
-    return np.random.default_rng((opts.seed, x))
 
 
 def cd_upsilon_kappa(
@@ -657,8 +672,7 @@ def cd_upsilon_kappa(
         )
 
     prob = VertexProblem(chain, x)
-    rng = _rng_for(opts, x)
-    z, val, diag = _multistart(prob, prob._ratio_vg, prob.ratio_value_grad, opts, rng)
+    z, val, diag = _multistart(prob, 0.0, opts)
     return VertexEstimate(x, val, prob.field_from(z), diag)
 
 
@@ -670,26 +684,25 @@ _ROUNDING_ULPS = 64
 def _check(
     prob: VertexProblem, kappa: float, inv_d: float, opts: CurvatureOptions
 ) -> CheckResult:
-    """Minimize the slack Psi_2 - kappa Psi - inv_d (Lf)^2 of ``prob``.
+    """Decide Psi_2 - kappa Psi - inv_d (Lf)^2 >= 0 at every field of ``prob``.
 
-    ``holds`` iff the found minimum is >= -tol with tol = 64 machine
-    epsilons times the sum of the magnitudes of the slack's terms at the
-    minimiser (``diagnostics["tol"]``): the rounding error of the slack
-    actually evaluated. A tolerance fixed in units of the squared rate
-    scale would absorb any violation that is small next to the rates, such
-    as that of the Poisson chain at vertices near exp(1/kappa).
+    The condition holds iff kappa is at most the infimum of its ratio
+    (2 Psi_2 - 2 inv_d (Lf)^2)/(2 Psi), so the check runs the descent that
+    cd_upsilon_kappa runs (_multistart) on that ratio; kappa does not enter
+    it. The verdict is the sign of the slack at the ratio's minimiser:
+    ``holds`` iff the slack is >= -tol with tol = 64 machine epsilons times
+    the sum of the magnitudes of the slack's terms there
+    (``diagnostics["tol"]``), the rounding error of the slack actually
+    evaluated. A tolerance fixed in units of the squared rate scale would
+    absorb any violation that is small next to the rates, such as that of
+    the Poisson chain at vertices near exp(1/kappa).
     """
-    z, val, diag = _multistart(
-        prob,
-        lambda z: prob._check_vg(z, kappa, inv_d),
-        lambda z: prob.check_value_grad(z, kappa, inv_d),
-        opts,
-        _rng_for(opts, prob.x),
-    )
+    z, _, diag = _multistart(prob, inv_d, opts)
+    slack = float(prob.check_batch(z, kappa, inv_d))
     magnitude = prob.check_magnitude_batch(z, kappa, inv_d)
     tol = float(_ROUNDING_ULPS * np.finfo(float).eps * magnitude)
-    holds = val >= -tol
-    return CheckResult(holds, val, None if holds else prob.field_from(z), dict(diag, tol=tol))
+    holds = slack >= -tol
+    return CheckResult(holds, slack, None if holds else prob.field_from(z), dict(diag, tol=tol))
 
 
 def cd_upsilon_check(
@@ -698,8 +711,10 @@ def cd_upsilon_check(
     x: int,
     opts: CurvatureOptions = DEFAULT_OPTIONS,
 ) -> CheckResult:
-    """Decide the pointwise inequality Psi_2 >= kappa Psi at x, against the
-    rounding error of the slack (see _check)."""
+    """Decide the pointwise inequality Psi_2 >= kappa Psi at x: whether
+    kappa is at most the minimum of Psi_2/Psi that cd_upsilon_kappa's
+    descent finds with the same ``opts``, up to the rounding error of the
+    slack there (see _check)."""
     return cd_upsilon_dim_check(chain, kappa, math.inf, x, opts)
 
 

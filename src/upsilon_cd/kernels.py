@@ -290,8 +290,10 @@ def bregman(kernel: ScalarKernel, w, z):
         # log w - log z - (w - z)/z collapses to -ups(log w - log z); the
         # direct form loses all precision for w near z.
         out = -ups(np.log(w) - np.log(z))
-    elif kernel.tag == "upsilon":
-        # ups(w) - ups(z) - ups'(z)(w - z) = e^z ups(w - z)
+    elif kernel.tag in ("upsilon", "upsilon_prime", "exp_minus_one"):
+        # ups(w) - ups(z) - ups'(z)(w - z) = e^z ups(w - z), and e^r - 1
+        # differs from ups by an affine function, so it has the same
+        # distance; the direct form cancels to e^z eps for w near z.
         out = np.exp(z) * ups(w - z)
     elif kernel.tag == "half_square":
         out = 0.5 * np.square(w - z)

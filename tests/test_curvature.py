@@ -133,6 +133,20 @@ class TestVertexProblem:
                     )
             assert tested >= 2
 
+    def test_rounding_bound_is_second_order_near_zero(self):
+        # near f = 0 the slack is O(|z|^2); its rounding bound must be too,
+        # so the terms ups and omega evaluate by their series count at their
+        # series' size, not at |e^r - 1| + |r| = O(|r|)
+        k4 = ch.complete(4)
+        prob = cv.VertexProblem(k4, 0)
+        kappa = cv.cd_upsilon_kappa(k4, 0).kappa
+        v = np.array([1.0, -0.6, 0.3])
+        for eps in (1e-3, 1e-6, 1e-9):
+            z = eps * v
+            _, psi, _ = prob._objective(z)
+            terms = prob.check_magnitude_batch(z, kappa)
+            assert cv._ROUNDING_ULPS * np.finfo(float).eps * terms <= 1e-12 * psi
+
     @pytest.mark.parametrize(
         "case",
         [
@@ -153,10 +167,13 @@ class TestVertexProblem:
             prob = cv.VertexProblem(chain, x, p)
             zs = rng.normal(size=(10, prob.dim))
             ratios = prob.ratio_batch(zs)
+            lf, psi, two_psi2 = prob._objective(zs)
+            dim_ratios = (two_psi2 - 2.0 * 0.25 * lf**2) / (2.0 * psi)
             checks = prob.check_batch(zs, 0.7, 0.25)
-            for z, ratio, check in zip(zs, ratios, checks):
+            for z, ratio, dim_ratio, check in zip(zs, ratios, dim_ratios, checks):
                 for fun, batch_val in (
                     (prob.ratio_value_grad, ratio),
+                    (lambda zz: prob.ratio_value_grad(zz, 0.25), dim_ratio),
                     (lambda zz: prob.check_value_grad(zz, 0.7, 0.25), check),
                 ):
                     val, grad = fun(z)
@@ -378,6 +395,13 @@ class TestChecks:
             assert check(base, kappa).holds == expect
             for s in (1e4, 1e8):
                 assert check(scaled(base, s), s * kappa).holds == expect
+        # an interior witness (max |z| = 3.1): a descent on the slack held
+        # at s = 1 and 1e8 and failed at 1e4..1e7
+        chain = random_reversible_chain(np.random.default_rng([77, 11]), 6)
+        opts = cv.CurvatureOptions(starts=24, seed=3)
+        kappa = cv.cd_upsilon_kappa(chain, 5, opts).kappa + 0.01
+        for s in (1.0, 1e4, 1e6, 1e7, 1e8):
+            assert not cv.cd_upsilon_check(scaled(chain, s), s * kappa, 5, opts).holds
 
     def test_small_violation_at_large_rates_is_reported(self):
         # Poisson window around vertex m = 1e6 (birth rate 1, death rate x):
@@ -394,18 +418,37 @@ class TestChecks:
         assert ratio < 1.01 * est.kappa
 
     def test_violation_beside_the_trivial_minimum_is_reported(self):
-        # slack 0 at f = 0 pulls starts in; a descent that stops there
-        # answers holds=True (slack 1.4e-25) although the ratio is 1.2551
-        # below kappa
-        rng = np.random.default_rng([77, 3])
-        chain = random_reversible_chain(rng, int(rng.integers(5, 9)))
-        est = cv.cd_upsilon_kappa(chain, 1, replace(FAST, seed=5))
-        assert est.kappa == pytest.approx(1.2551170, abs=1e-6)
-        kappa = est.kappa + 1e-3
-        res = cv.cd_upsilon_check(chain, kappa, 1, cv.CurvatureOptions(seed=5, starts=24))
-        assert res.holds is False
-        f = res.counterexample
-        assert op.psi2_upsilon(chain, f)[1] / op.psi_upsilon(chain, f)[1] < kappa
+        # slack 0 at f = 0 pulls starts in; a descent on the slack that
+        # stops there answers holds=True (slack 1.4e-25 at [77, 3] vertex 1,
+        # 3.1e-21 at [77, 4] vertex 2, whose constant's witness sits on the
+        # box) although the ratio is below kappa
+        # [77, i], vertex, options of the constant and of the check, the
+        # constant, and the check's excess over it
+        cases = [
+            (3, 1, replace(FAST, seed=5), cv.CurvatureOptions(seed=5, starts=24), 1.2551170, 1e-3),
+            (4, 2, cv.CurvatureOptions(seed=3), cv.CurvatureOptions(seed=3), -3.1740372, 3.174e-3),
+        ]
+        for i, x, est_opts, check_opts, expect, excess in cases:
+            rng = np.random.default_rng([77, i])
+            chain = random_reversible_chain(rng, int(rng.integers(5, 9)))
+            est = cv.cd_upsilon_kappa(chain, x, est_opts)
+            assert est.kappa == pytest.approx(expect, abs=1e-6)
+            kappa = est.kappa + excess
+            res = cv.cd_upsilon_check(chain, kappa, x, check_opts)
+            assert res.holds is False
+            f = res.counterexample
+            assert op.psi2_upsilon(chain, f)[x] / op.psi_upsilon(chain, f)[x] < kappa
+
+    def test_limit_constant_is_decided_at_small_fields(self):
+        # on K2 and H3 the constant kappa_Ups = kappa_BE = 2 is reached only
+        # as f -> 0, where the ratio's minimiser sits at |z| ~ 1e-9: the
+        # rounding bound there must be of the slack's own order, or a
+        # constant raised by 1e-8 passes
+        for chain in (ch.complete(2), ch.hypercube(3)):
+            kappa = cv.cd_upsilon_kappa(chain, 0).kappa
+            assert kappa == pytest.approx(2.0, abs=1e-12)
+            assert not cv.cd_upsilon_check(chain, kappa + 1e-8, 0).holds
+            assert cv.cd_upsilon_check(chain, kappa - 1e-8, 0).holds
 
     def test_very_negative_kappa_holds(self):
         assert cv.cd_upsilon_check(ch.complete(3), -1e9, 0, FAST).holds
