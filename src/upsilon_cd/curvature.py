@@ -3,7 +3,9 @@
 Both curvature notions are local: the quadratic one (Bakry-Emery) reduces to
 a generalized eigenvalue problem on the two-ball, the exponential one to a
 smooth nonconvex minimization that we attack with an exact inner reduction
-over "private" second-sphere values plus multi-start quasi-Newton descent.
+over "private" second-sphere values plus a multi-start modified Newton
+descent on the exact Hessian, whose small-field limit is that same
+eigenvalue problem.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ class CurvatureOptions:
     starts, 2 per reduced variable and one probe point per neighbour and
     probe tau (_PROBE_TAUS), and tops up with random starts until it has
     ``starts``; so ``complete(30)`` runs 153 starts at ``starts=64``.
-    ``bound`` is the box of every descent, ``maxiter`` caps the lockstep
-    iterations and each L-BFGS-B hand-off.
+    ``bound`` is the box of every descent. ``maxiter`` caps the Newton
+    iterations of the lockstep descent (a row still descending then goes to
+    L-BFGS-B) and the iterations of each L-BFGS-B hand-off.
     """
 
     starts: int = 64
@@ -78,6 +81,9 @@ _PROBE_TAUS = (10.0, 20.0, 40.0)
 # Level that divergence_certificate's family line must reach: it reports the
 # tau_at_threshold where it does and picks the neighbour that gets there first.
 _MINUS_INF_THRESHOLD = -1e6
+# Above this K u the p-kernel's private minimum is evaluated in its scaled
+# form (VertexProblem._private_min): e^600 times its brackets is finite.
+_PRIVATE_SCALED = 600.0
 
 
 class VertexProblem:
@@ -179,10 +185,11 @@ class VertexProblem:
         self.diff[self.tgt[into_ball], cols[into_ball]] = 1.0
         self._diff_red = np.ascontiguousarray(self.diff[: self.dim, : self._n_red])
         self._src_inc = (self.src[:, None] == np.arange(m1)).astype(float)
-        # sum over the private edges out of y of c_y k(y, z)
-        self._priv_coef = np.bincount(
-            self.src[self._n_red :], self.coef[self._n_red :], minlength=m1
-        )
+        # the y with private edges, and the sum over those edges of c_y k(y, z)
+        priv_coef = np.bincount(self.src[self._n_red :], self.coef[self._n_red :], minlength=m1)
+        self._priv_rows = np.flatnonzero(priv_coef)
+        self._priv_coef = priv_coef[self._priv_rows]
+        self._hess_bases: dict = {}
 
     def _tree_like(self) -> bool:
         """No edge inside S1 and no shared S2 vertex: no triangle or 4-cycle
@@ -205,13 +212,14 @@ class VertexProblem:
         """r(s) = ups(a s)/a, the power entropy's part of its terms."""
         return ups(self.a * s) / self.a
 
-    def _objective(self, z: np.ndarray, grad: bool = False):
+    def _objective(self, z: np.ndarray, grad: bool = False, hess: bool = False):
         """Lf(x), Psi(f)(x) and 2 Psi_2(f)(x) with f(x) = 0 and f|ball = z
         (L phi_p', Psi^(p) and 2 Psi_2^(p) of F = e^f for p > 1).
 
         ``z.shape[-1]`` decides raw versus reduced (see _edges); the
         reduced form takes each private edge at its exact inner minimum.
-        With ``grad`` also returns dPsi/du and d(2 Psi_2)/dz.
+        With ``grad`` also returns dPsi/du and d(2 Psi_2)/dz; with ``hess``
+        also the Hessian d^2(2 Psi_2)/dz^2 over the last two axes.
         """
         z = np.asarray(z, dtype=float)
         u = z[..., : self.m1]
@@ -225,45 +233,122 @@ class VertexProblem:
         s = upv @ self.c
         edge = ups(d) - upv_src * d
         eu = np.exp(u)
+        eu_src = eu[..., src]
         if self.a:
             ru, rd = self._r(u), self._r(d)
             lf = lf + ru @ self.c
             psi = psi - ru @ self.c
             eau = np.exp(self.a * u)
-            eu_src, eau_src = eu[..., src], eau[..., src]
+            eau_src = eau[..., src]
             edge = eau_src * (edge - eu_src * rd)
         two_psi2 = edge @ coef + s * lf - self.m1x * psi
         reduced = n < len(self.coef)
         if reduced:
-            priv, dpriv = self._private_min(u, grad)
-            two_psi2 = two_psi2 + priv @ self._priv_coef
-        if not grad:
+            rows = self._priv_rows
+            priv = self._private_min(u[..., rows], 2 if hess else int(grad))
+            two_psi2 = two_psi2 + priv[0] @ self._priv_coef
+        if not (grad or hess):
             return lf, psi, two_psi2
-        dd, dpsi, s_u = ups_prime(d) - upv_src, self.c * upv, s[..., None]
+        # per edge y -> z, the kernel T(d, u_y) = edge differentiated in d and u_y
+        t_d, dpsi, s_u = ups_prime(d) - upv_src, self.c * upv, s[..., None]
         if self.a:
-            dd = eau_src * (dd - eu_src * ups_prime(self.a * d))
+            t_d = eau_src * (t_d - eu_src * ups_prime(self.a * d))
             dpsi = dpsi - self.c * ups_prime(self.a * u)
             s_u = eau * s_u  # dLf/du = c e^{a u}
             # each edge term's own u_y-derivative: a T - e^{(1+a) u_y} (d + r(d))
-            own = (coef * (self.a * edge - eu_src * eau_src * (d + rd))) @ self._src_inc[:n]
+            t_u = self.a * edge - eu_src * eau_src * (d + rd)
+            own = (coef * t_u) @ self._src_inc[:n]
         else:
             own = -eu * ((coef * d) @ self._src_inc[:n])
-        g = (coef * dd) @ diff.T
+        g = (coef * t_d) @ diff.T
         g[..., : self.m1] += self.c * (eu * lf[..., None] + s_u) + own - self.m1x * dpsi
         if reduced:
-            g[..., : self.m1] += self._priv_coef * dpriv
-        return lf, psi, two_psi2, dpsi, g
+            g[..., rows] += self._priv_coef * priv[1]
+        if not hess:
+            return lf, psi, two_psi2, dpsi, g
+        # T_dd, T_du and T_uu; the edge's Hessian is T_dd diff diff^T
+        # + T_du (diff e_y^T + e_y diff^T) + T_uu e_y e_y^T (_hess_basis)
+        ed = np.exp(d)
+        if self.a:
+            ead = np.exp(self.a * d)
+            t_dd = eau_src * (ed - self.a * eu_src * ead)
+            t_du = self.a * t_d - eau_src * eu_src * ead
+            t_uu = (2.0 * self.a + 1.0) * t_u - self.a * (1.0 + self.a) * edge
+            dl, d2l = self.c * eau, self.a * self.c * eau
+            d2psi = self.c * (eu - self.a * eau)
+        else:
+            t_dd, t_du, t_uu = ed, -eu_src, -eu_src * d
+            dl, d2l, d2psi = self.c, 0.0, self.c * eu
+        w = np.concatenate([coef * t_dd, coef * t_du, coef * t_uu], axis=-1)
+        h = (w @ self._hess_basis(z.shape[-1])).reshape(z.shape + z.shape[-1:])
+        ds = self.c * eu
+        diag = ds * lf[..., None] + s[..., None] * d2l - self.m1x * d2psi
+        if reduced:
+            diag[..., rows] += self._priv_coef * priv[2]
+        huu = h[..., : self.m1, : self.m1]
+        cross = ds[..., :, None] * dl[..., None, :]
+        huu += cross + np.swapaxes(cross, -1, -2)
+        i = np.arange(self.m1)
+        huu[..., i, i] += diag
+        return lf, psi, two_psi2, dpsi, g, h
 
-    def _private_min(self, u: np.ndarray, grad: bool):
-        """T(d*) per unit c_y k(y, z) of a private edge out of each y, and
-        its u_y-derivative with ``grad`` (see the class docstring)."""
+    def _hess_basis(self, width: int) -> np.ndarray:
+        """(3 n, width^2) matrix that maps per-edge (T_dd, T_du, T_uu) times
+        coef to the flattened edge Hessian (see _objective)."""
+        basis = self._hess_bases.get(width)
+        if basis is None:
+            diff, n = self._edges(width)
+            de = diff[:width, :n].T  # per edge, the gradient of d
+            ey = np.zeros((n, width))
+            ey[np.arange(n), self.src[:n]] = 1.0
+            dd = de[:, :, None] * de[:, None, :]
+            du = de[:, :, None] * ey[:, None, :]
+            uu = ey[:, :, None] * ey[:, None, :]
+            basis = np.concatenate([dd, du + du.transpose(0, 2, 1), uu]).reshape(3 * n, -1)
+            self._hess_bases[width] = basis
+        return basis
+
+    @np.errstate(over="ignore")
+    def _private_min(self, u: np.ndarray, order: int):
+        """[T(d*), dT(d*)/du_y, d^2 T(d*)/du_y^2][: order + 1] per unit
+        c_y k(y, z) of a private edge out of each y (see the class docstring).
+
+        For p > 1, T(d*) = e^{a u} [ups(u) - (1 - a) ups(d*)]/a, with
+        dT(d*)/du = a T - e^{(1+a) u} ups'(a d*)/a and d^2 T(d*)/du^2 =
+        (2a + 1) T' - a (1 + a) T - e^{K u}/(1 - a), K = a + 1/(1 - a).
+        Where K u > _PRIVATE_SCALED the direct form would overflow (ups(d*)
+        and e^{u} r(d*) grow like e^{d*}), so all three are evaluated as
+        e^{K u} times brackets in e^{-a d*} and e^{-d*}, which stay bounded;
+        a value too large for a float then reads -inf, not nan.
+        """
         if not self.a:
-            return -omega(u), -omega_prime(u) if grad else None
-        ds = u / (1.0 - self.a)
-        eu, eau = np.exp(u), np.exp(self.a * u)
-        rds = self._r(ds)
-        t = eau * (ups(ds) - ups_prime(u) * ds - eu * rds)
-        return t, self.a * t - eu * eau * (ds + rds) if grad else None
+            out = [-omega(u)]
+            if order:
+                out.append(-omega_prime(u))
+            if order > 1:
+                out.append(-(1.0 + u) * np.exp(u))
+            return out
+        a = self.a
+        ku = (a + 1.0 / (1.0 - a)) * u
+        big = ku > _PRIVATE_SCALED
+        um = np.where(big, 0.0, u)
+        dm = um / (1.0 - a)
+        eu, eau = np.exp(um), np.exp(a * um)
+        rds = self._r(dm)
+        t = eau * (ups(dm) - ups_prime(um) * dm - eu * rds)
+        t1 = a * t - eu * eau * (dm + rds)
+        eku = eau * np.exp(dm)
+        t2 = (2.0 * a + 1.0) * t1 - a * (1.0 + a) * t - eku / (1.0 - a)
+        out = [t, t1, t2]
+        if np.any(big):
+            db = np.where(big, u, 0.0) / (1.0 - a)
+            em = np.expm1(-a * db)
+            b0 = (em + a) / a - np.exp(-db)
+            b1 = a * b0 + em / a
+            b2 = (2.0 * a + 1.0) * b1 - a * (1.0 + a) * b0 - 1.0 / (1.0 - a)
+            eku = np.exp(np.where(big, ku, 0.0))
+            out = [np.where(big, eku * b, x) for b, x in zip((b0, b1, b2), out)]
+        return out[: order + 1]
 
     def ratio_batch(self, z: np.ndarray) -> np.ndarray:
         _, psi, two_psi2 = self._objective(z)
@@ -298,11 +383,14 @@ class VertexProblem:
         if self.a:
             r_terms = _ups_terms(self.a * u) / self.a
             lf_terms, psi_terms = lf_terms + r_terms, psi_terms + r_terms
+        up = u[..., self._priv_rows]
         if n < len(self.coef) and self.a:  # the edge terms at d*, computed
-            terms, rounding = self._edge_terms(u / (1.0 - self.a), u, upv, slice(None))
+            terms, rounding = self._edge_terms(
+                up / (1.0 - self.a), up, upv[..., self._priv_rows], slice(None)
+            )
             acc = acc + (terms + rounding) @ self._priv_coef
         elif n < len(self.coef):
-            acc = acc + _omega_terms(u) @ self._priv_coef
+            acc = acc + _omega_terms(up) @ self._priv_coef
         lf_abs = lf_terms @ self.c
         acc = acc + (np.abs(upv) @ self.c) * lf_abs
         psi_terms = psi_terms @ self.c
@@ -321,10 +409,10 @@ class VertexProblem:
             rounding = eau * (rounding + eu * np.abs(ups_prime(ad) * d))
         return terms, rounding
 
-    # -- value and gradient -----------------------------------------------------
+    # -- value, gradient and Hessian ------------------------------------------------
     # The ratio is the one objective of every descent (_multistart), for the
-    # constant and for each check: _ratio_vg works over the last axis of z
-    # (the lockstep rows), ratio_value_grad is what a single L-BFGS-B descent
+    # constant and for each check: _ratio works over the last axis of z (the
+    # lockstep rows), ratio_value_grad is what a single L-BFGS-B descent
     # calls. check_value_grad is the slack's value and gradient at one point.
 
     def _dlf(self, z: np.ndarray):
@@ -332,23 +420,57 @@ class VertexProblem:
         u = np.asarray(z, dtype=float)[..., : self.m1]
         return self.c * np.exp(self.a * u) if self.a else self.c
 
-    def _ratio_vg(self, z: np.ndarray, inv_d: float = 0.0):
-        """(2 Psi_2 - 2 inv_d (Lf)^2) / (2 Psi) and its gradient; a flat
-        point (Psi = 0) reads 1e100 with gradient 0."""
-        lf, psi, two_psi2, dpsi, g = self._objective(z, grad=True)
+    def _ratio(self, z: np.ndarray, inv_d: float = 0.0, order: int = 1):
+        """(2 Psi_2 - 2 inv_d (Lf)^2) / (2 Psi), with its gradient for
+        ``order`` >= 1 and its Hessian for ``order`` 2; a flat point
+        (Psi = 0) reads 1e100 with gradient and Hessian 0.
+
+        With N the numerator and P = 2 Psi, the gradient is (N' - R P')/P
+        and the Hessian (N'' - R P'' - R' P'^T - P' R'^T)/P.
+        """
+        z = np.asarray(z, dtype=float)
+        out = self._objective(z, grad=order > 0, hess=order > 1)
+        lf, psi, two_psi2 = out[:3]
         if inv_d:
             two_psi2 = two_psi2 - 2.0 * inv_d * lf * lf
-            g[..., : self.m1] -= 4.0 * inv_d * lf[..., None] * self._dlf(z)
         flat = psi < 1e-300
         with np.errstate(divide="ignore", invalid="ignore"):
             val = two_psi2 / (2.0 * psi)
+        if not order:
+            return np.where(flat, 1e100, val)
+        m1 = self.m1
+        dpsi, g = out[3:5]
+        if inv_d:
+            dl = self._dlf(z)
+            g[..., :m1] -= 4.0 * inv_d * lf[..., None] * dl
+        with np.errstate(divide="ignore", invalid="ignore"):
             grad = g / (2.0 * psi[..., None])
-            grad[..., : self.m1] -= val[..., None] * dpsi / psi[..., None]
+            grad[..., :m1] -= val[..., None] * dpsi / psi[..., None]
         grad[flat] = 0.0
-        return np.where(flat, 1e100, val), grad
+        if order == 1:
+            return np.where(flat, 1e100, val), grad
+        h = out[5]
+        u, i = z[..., :m1], np.arange(m1)
+        d2psi = self.c * np.exp(u)
+        if self.a:
+            eau = self.c * np.exp(self.a * u)
+            d2psi = d2psi - self.a * eau
+        if inv_d:
+            huu = h[..., :m1, :m1]
+            huu -= 4.0 * inv_d * dl[..., :, None] * dl[..., None, :]
+            if self.a:  # d^2 Lf/du^2 = a c e^{a u}
+                huu[..., i, i] -= 4.0 * inv_d * self.a * lf[..., None] * eau
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            hr = h / (2.0 * psi[..., None, None])
+            hr[..., i, i] -= val[..., None] * d2psi / psi[..., None]
+            cross = grad[..., :, None] * (dpsi / psi[..., None])[..., None, :]
+            hr[..., :, :m1] -= cross
+            hr[..., :m1, :] -= np.swapaxes(cross, -1, -2)
+        hr[flat] = 0.0
+        return np.where(flat, 1e100, val), grad, hr
 
     def ratio_value_grad(self, z: np.ndarray, inv_d: float = 0.0):
-        val, grad = self._ratio_vg(z, inv_d)
+        val, grad = self._ratio(z, inv_d)
         return float(val), grad
 
     def check_value_grad(self, z: np.ndarray, kappa: float, inv_d: float = 0.0):
@@ -358,6 +480,27 @@ class VertexProblem:
         grad = 0.5 * g
         grad[: self.m1] -= kappa * dpsi + 2.0 * inv_d * lf * self._dlf(z)
         return float(val), grad
+
+    def _limit_direction(self, inv_d: float = 0.0):
+        """The small-field limit of the ratio: (kappa_0, v).
+
+        Along z = eps v the ratio tends, as eps -> 0, to v^T N v / v^T P v,
+        N and P the Hessians at 0 of its numerator and of 2 Psi (both vanish
+        to second order there). P lives on S1 and N's shared-S2 block is
+        diagonal and positive, so shared S2 is eliminated exactly and the
+        infimum over v is the least eigenvalue kappa_0 of a generalized
+        symmetric problem; at p = 1 and inv_d = 0 this is Bakry-Emery's
+        Gamma_2/Gamma (bakry_emery_kappa). v minimises it, with max |v| = 1.
+        """
+        m1 = self.m1
+        h = self._objective(np.zeros(self.dim), hess=True)[5]
+        huu, huw, hww = h[:m1, :m1], h[:m1, m1:], h[m1:, m1:]
+        huu = huu - 4.0 * inv_d * np.outer(self.c, self.c)  # dLf/du = c at 0
+        schur = huu - huw @ np.linalg.solve(hww, huw.T) if self.m2 else huu
+        vals, vecs = scipy.linalg.eigh(schur, np.diag(2.0 * (1.0 - self.a) * self.c))
+        u = vecs[:, 0]
+        v = np.concatenate([u, -np.linalg.solve(hww, huw.T @ u)]) if self.m2 else u
+        return float(vals[0]), v / np.abs(v).max()
 
     # -- embedding back into a full field ---------------------------------------
 
@@ -485,10 +628,24 @@ def _start_points(prob: VertexProblem, opts: CurvatureOptions, rng) -> list:
 _GTOL = 1e-10
 _FTOL = 2.5e-15
 _ARMIJO = 1e-4
-# Backtracking steps tried, all at once, when the full step fails Armijo.
+# Multiples of the Newton step tried in the line search's first call: far
+# out the ratio is exponential, and the unit step advances about one unit;
+# near the small-field limit the step is about -z, and 0.9 and 0.99 of it
+# shrink z 10 and 100 times where the unit step lands on the flat f = 0;
+# 0.5 and 0.25 spare most rows the ladder where the unit step overshoots.
+_STEPS = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 0.99, 0.9, 0.5, 0.25])
+# Backtracking steps tried, all at once, when no step of _STEPS passes.
 _LADDER = 0.5 ** np.arange(1, 31)
-# Rows times second-step edges per kernel call of the ladder: bounds each
-# temporary of the call at 2 MB on large two-balls.
+# Modified Newton: each eigenvalue of a row's Hessian is replaced by its
+# modulus, floored at this fraction of the row's largest modulus.
+_EIG_FLOOR = 1e-10
+# Small-field limit (VertexProblem._limit_direction): its candidate points
+# are +-_LIMIT_SCALE v, and a row inside the max-norm ball _LIMIT_RADIUS
+# whose ratio is not below theirs stops there.
+_LIMIT_SCALE = 1e-7
+_LIMIT_RADIUS = 1e-3
+# Rows times (second-step edges + dim^2) per kernel call of the line search:
+# bounds each temporary of the call at a few MB on large two-balls.
 _BLOCK_ELEMENTS = 2**18
 # How a start ended (_ACTIVE while it still descends in lockstep).
 _ACTIVE, _CONVERGED, _HANDOFF, _FAIL = range(4)
@@ -505,10 +662,18 @@ def _lbfgsb(fun, z0, opts: CurvatureOptions):
     )
 
 
-def _armijo(z0, f0, g0, z1, f1, g1) -> np.ndarray:
-    """Whether each step z0 -> z1 (over the last axis) decreases enough."""
+def _armijo(z0, f0, g0, z1, f1) -> np.ndarray:
+    """Whether each step z0 -> z1 (over the last axis) decreases enough;
+    a value of -inf (an overflow of the p-kernel) always does."""
     bound = f0 + _ARMIJO * np.einsum("...i,...i->...", g0, z1 - z0)
-    return np.isfinite(f1) & (f1 <= bound) & np.isfinite(g1).all(axis=-1)
+    return (np.isfinite(f1) & (f1 <= bound)) | (f1 == -np.inf)
+
+
+def _usable(f, g, h) -> np.ndarray:
+    """Rows whose value, gradient and Hessian are finite, or whose value is
+    -inf (such a row has nowhere lower to go)."""
+    finite = np.isfinite(g).all(axis=-1) & np.isfinite(h).all(axis=(-2, -1))
+    return (np.isfinite(f) & finite) | (f == -np.inf)
 
 
 def _in_blocks(batch_fun, z, block: int):
@@ -516,103 +681,128 @@ def _in_blocks(batch_fun, z, block: int):
     if len(z) <= block:
         return batch_fun(z)
     parts = [batch_fun(z[i : i + block]) for i in range(0, len(z), block)]
+    if isinstance(parts[0], np.ndarray):
+        return np.concatenate(parts)
     return tuple(np.concatenate(out) for out in zip(*parts))
 
 
-def _line_search(batch_fun, z, f, g, p, lo, hi, block: int):
-    """Armijo backtracking from the rows z along p, clipped to [lo, hi].
+def _newton_direction(g, h, held):
+    """-H~^{-1} g per row over the variables not ``held`` (0 on those), H~
+    the row's Hessian with each eigenvalue replaced by max(|lambda|, |g_i|,
+    _EIG_FLOOR max |lambda|), g_i the gradient along its eigenvector: a
+    descent direction that is the Newton step near a minimum where H is
+    positive definite (g -> 0 there), and moves at most one unit along each
+    eigenvector of small or negative curvature."""
+    if held.any():
+        free = ~held
+        g = np.where(free, g, 0.0)
+        h = np.where(free[:, :, None] & free[:, None, :], h, 0.0)
+        r, i = np.nonzero(held)
+        h[r, i, i] = 1.0
+    lam, vec = np.linalg.eigh(h)
+    gv = np.einsum("rji,rj->ri", vec, g)
+    floor = np.maximum(_EIG_FLOOR * np.abs(lam).max(axis=-1), np.finfo(float).tiny)
+    mag = np.maximum(np.maximum(np.abs(lam), np.abs(gv)), floor[:, None])
+    return -np.einsum("rij,rj->ri", vec, gv / mag)
 
-    Tries the full step for every row, then the whole ladder _LADDER for
-    the rows that failed, in one call (or in calls of at most ``block``
-    rows). Returns (ok, step, z1, f1, g1):
-    ``step`` is the unclipped point the accepted ``z1`` was clipped from.
+
+def _line_search(fun, z, f, g, p, lo, hi, block: int):
+    """Armijo search from the rows z along p, clipped to [lo, hi].
+
+    One call of values at every multiple _STEPS of p (a step longer than p
+    counts only where the box does not clip it) keeps, per row, the lowest
+    value that passes Armijo; rows where none passes try the ladder _LADDER
+    in one more call and keep its longest passing step. A last call takes
+    the gradient and Hessian at the accepted points. Calls take at most
+    ``block`` rows. Returns (ok, step, z1, f1, g1, h1): ``step`` is the
+    unclipped point the accepted ``z1`` was clipped from; a row whose
+    gradient or Hessian is not finite there is not ok.
     """
-    step = z + p
-    z1 = np.clip(step, lo, hi)
-    f1, g1 = batch_fun(z1)
-    ok = _armijo(z, f, g, z1, f1, g1)
+    n, dim = z.shape
+
+    def trials(rows, mult):
+        steps = z[rows, None] + mult[:, None] * p[rows, None]
+        zt = np.clip(steps, lo, hi)
+        ft = _in_blocks(lambda zz: fun(zz, 0), zt.reshape(-1, dim), block).reshape(zt.shape[:2])
+        return steps, zt, ft, _armijo(z[rows, None], f[rows, None], g[rows, None], zt, ft)
+
+    rows = np.arange(n)
+    steps, zt, ft, passed = trials(rows, _STEPS)
+    passed &= (_STEPS <= 1.0) | np.all(zt == steps, axis=-1)
+    k = np.argmin(np.where(passed, ft, np.inf), axis=1)
+    step, z1, f1 = steps[rows, k], zt[rows, k], ft[rows, k]
+    ok = passed.any(axis=1)
     back = np.flatnonzero(~ok)
     if back.size:
-        steps = z[back, None] + _LADDER[:, None] * p[back, None]
-        zl = np.clip(steps, lo, hi)
-        fl, gl = _in_blocks(batch_fun, zl.reshape(-1, z.shape[1]), block)
-        fl, gl = fl.reshape(zl.shape[:2]), gl.reshape(zl.shape)
-        okl = _armijo(z[back, None], f[back, None], g[back, None], zl, fl, gl)
-        rows = np.flatnonzero(okl.any(axis=1))
-        k = np.argmax(okl[rows], axis=1)  # the longest step that passes
-        hit = back[rows]
-        step[hit], z1[hit] = steps[rows, k], zl[rows, k]
-        f1[hit], g1[hit] = fl[rows, k], gl[rows, k]
-        ok[hit] = True
-    return ok, step, z1, f1, g1
+        steps, zt, ft, passed = trials(back, _LADDER)
+        hit = np.flatnonzero(passed.any(axis=1))
+        k = np.argmax(passed[hit], axis=1)  # the longest step that passes
+        rows = back[hit]
+        step[rows], z1[rows], f1[rows] = steps[hit, k], zt[hit, k], ft[hit, k]
+        ok[rows] = True
+    g1, h1 = np.zeros_like(z), np.zeros((n, dim, dim))
+    rows = np.flatnonzero(ok)
+    if rows.size:
+        f1[rows], g1[rows], h1[rows] = _in_blocks(lambda zz: fun(zz, 2), z1[rows], block)
+        ok[rows] = _usable(f1[rows], g1[rows], h1[rows])
+    return ok, step, z1, f1, g1, h1
 
 
-def _bfgs_update(h, s, y, sy, fresh):
-    """BFGS update of the inverse Hessians ``h`` by the steps s and
-    gradient changes y (sy = s.y > 0), row by row; a ``fresh`` row is first
-    set to (s.y)/(y.y) times the identity."""
-    yy = np.einsum("ri,ri->r", y, y)
-    h[fresh] = (sy / yy)[fresh, None, None] * np.eye(h.shape[1])
-    hy = np.einsum("rij,rj->ri", h, y)
-    rho = (1.0 / sy)[:, None, None]
-    yhy = np.einsum("ri,ri->r", y, hy)[:, None, None]
-    hys = hy[:, :, None] * s[:, None, :]
-    ss = s[:, :, None] * s[:, None, :]
-    return h - rho * (hys + hys.transpose(0, 2, 1)) + (rho * rho * yhy + rho) * ss
+def _lockstep(fun, z, opts: CurvatureOptions, block: int, limit: float):
+    """Projected modified Newton from every row of ``z`` at once.
 
-
-def _lockstep(batch_fun, z, opts: CurvatureOptions, block: int):
-    """Projected BFGS from every row of ``z`` at once.
-
-    Each iteration makes one batched value+gradient call for the active
-    rows, plus one for the backtracking ladder (_line_search). A row
-    converges on the projected-gradient or the relative-decrease rule
-    (_GTOL, _FTOL); it is handed off to L-BFGS-B when its accepted step was
-    clipped by the box, when no ladder step satisfies Armijo, or at
-    ``opts.maxiter``; it fails when its start value is not finite. A row
-    that converges here meets L-BFGS-B's own stopping rule, so it gets no
-    further descent. Every row ends in one of these three ways, whatever its
-    value. ``block`` caps the rows of one ladder call. Returns
-    (z, values, status), status per row one of _CONVERGED, _HANDOFF, _FAIL.
+    ``fun(z, order)`` is the objective over the last axis of z: its value,
+    and for ``order`` 2 also its gradient and Hessian. Each iteration steps
+    every active row along its modified Newton direction (_newton_direction)
+    with the line search _line_search: one call at the trial points, plus
+    two for the rows that backtrack. A row converges on the projected-
+    gradient or the relative-decrease rule (_GTOL, _FTOL), at a value of
+    -inf, or when it enters the small-field ball (_LIMIT_RADIUS) at a value
+    not below ``limit``, the ratio at the limit's candidate points (see
+    _multistart); it is handed off to L-BFGS-B when its accepted step was
+    clipped by the box, when no step satisfies Armijo, when its gradient or
+    Hessian is not finite, or at ``opts.maxiter``; it fails when its start
+    value is not finite. Every row ends in one of these three ways, whatever
+    its value. ``block`` caps the rows of one call. Returns (z, values,
+    status), status per row one of _CONVERGED, _HANDOFF, _FAIL.
     """
     lo, hi = -opts.bound, opts.bound
-    n, dim = z.shape
     z = z.copy()
-    f, g = batch_fun(z)
+    f, g, h = _in_blocks(lambda zz: fun(zz, 2), z, block)
     status = np.where(np.isfinite(f), _ACTIVE, _FAIL)
-    status[(status == _ACTIVE) & ~np.isfinite(g).all(axis=1)] = _HANDOFF
-    h = np.tile(np.eye(dim), (n, 1, 1))
-    fresh = np.ones(n, dtype=bool)  # h is still the unscaled identity
+    status[f == -np.inf] = _CONVERGED
+    status[(status == _ACTIVE) & ~_usable(f, g, h)] = _HANDOFF
     for it in range(opts.maxiter + 1):
         act = np.flatnonzero(status == _ACTIVE)
-        pg = np.abs(np.clip(z[act] - g[act], lo, hi) - z[act]).max(axis=1)
-        status[act[pg <= _GTOL]] = _CONVERGED
-        act = act[pg > _GTOL]
+        za = z[act]
+        pg = np.abs(np.clip(za - g[act], lo, hi) - za).max(axis=1)
+        settled = (np.abs(za).max(axis=1) <= _LIMIT_RADIUS) & (f[act] >= limit)
+        done = (pg <= _GTOL) | settled
+        status[act[done]] = _CONVERGED
+        act = act[~done]
         if it == opts.maxiter:
             status[act] = _HANDOFF
         if not act.size or it == opts.maxiter:
             break
         za, fa, ga = z[act], f[act], g[act]
-        p = -np.einsum("rij,rj->ri", h[act], ga)
-        # with the unscaled identity, cap the step at unit length
-        first = fresh[act]
-        p[first] /= np.maximum(1.0, np.linalg.norm(ga[first], axis=1))[:, None]
-        ok, step, zt, ft, gt = _line_search(batch_fun, za, fa, ga, p, lo, hi, block)
+        # variables at the box that the gradient, or else the step, would
+        # move outward stay fixed
+        held = ((za == lo) & (ga > 0)) | ((za == hi) & (ga < 0))
+        p = _newton_direction(ga, h[act], held)
+        out = ((za == lo) & (p < 0)) | ((za == hi) & (p > 0))
+        if out.any():
+            p = _newton_direction(ga, h[act], held | out)
+        ok, step, zt, ft, gt, ht = _line_search(fun, za, fa, ga, p, lo, hi, block)
         status[act[~ok]] = _HANDOFF
-        act, za, fa, ga = act[ok], za[ok], fa[ok], ga[ok]
-        zt, ft, gt = zt[ok], ft[ok], gt[ok]
-        clipped = np.any(zt != step[ok], axis=1)
+        act, fa, step = act[ok], fa[ok], step[ok]
+        zt, ft, gt, ht = zt[ok], ft[ok], gt[ok], ht[ok]
+        z[act], f[act], g[act], h[act] = zt, ft, gt, ht
+        floor = ft == -np.inf  # converged: nowhere lower to go
+        ft = np.where(floor, fa, ft)
+        clipped = np.any(zt != step, axis=1) & ~floor
         rel = (fa - ft) / np.maximum(np.maximum(np.abs(fa), np.abs(ft)), 1.0)
         status[act[clipped]] = _HANDOFF
         status[act[~clipped & (rel <= _FTOL)]] = _CONVERGED
-        z[act], f[act], g[act] = zt, ft, gt
-        s_, y_ = zt - za, gt - ga
-        sy = np.einsum("ri,ri->r", s_, y_)
-        # update only where the curvature s.y is positive
-        upd = sy > np.finfo(float).eps * np.einsum("ri,ri->r", y_, y_)
-        rows = act[upd]
-        h[rows] = _bfgs_update(h[rows], s_[upd], y_[upd], sy[upd], fresh[rows])
-        fresh[rows] = False
     return z, f, status
 
 
@@ -623,14 +813,25 @@ def _multistart(prob: VertexProblem, inv_d: float, opts: CurvatureOptions):
     The random starts draw from the (seed, x) generator, so a vertex gets
     the same starts wherever it is solved. All starts descend in lockstep
     (_lockstep); each handed-off row is finished by one L-BFGS-B descent
-    from where it stopped, the only other descent. The diagnostics count
-    how each start ended: ``n_converged`` in lockstep, ``n_handoff`` to
-    L-BFGS-B, ``n_fail`` at a non-finite start; they sum to ``n_starts``.
+    from where it stopped, the only other descent. The small-field limit
+    (VertexProblem._limit_direction) adds two candidates, +-_LIMIT_SCALE v:
+    where the infimum is only approached as f -> 0 they hold it (to
+    O(_LIMIT_SCALE^2)), and rows that reach the limit stop there. The
+    winner is the lowest of the rows and the candidates. The diagnostics
+    count how each start ended: ``n_converged`` in lockstep, ``n_handoff``
+    to L-BFGS-B, ``n_fail`` at a non-finite start; they sum to
+    ``n_starts``.
     """
     rng = np.random.default_rng((opts.seed, prob.x))
     starts = np.array(_start_points(prob, opts, rng))
-    block = max(1, _BLOCK_ELEMENTS // len(prob.coef))
-    z, f, status = _lockstep(lambda zz: prob._ratio_vg(zz, inv_d), starts, opts, block)
+    block = max(1, _BLOCK_ELEMENTS // (len(prob.coef) + prob.dim**2))
+
+    def fun(zz, order):
+        return prob._ratio(zz, inv_d, order)
+
+    zl = _LIMIT_SCALE * np.outer([1.0, -1.0], prob._limit_direction(inv_d)[1])
+    fl = fun(zl, 0)
+    z, f, status = _lockstep(fun, starts, opts, block, float(fl.min()))
     diag = {
         "n_starts": len(starts),
         "n_fail": int(np.sum(status == _FAIL)),
@@ -641,10 +842,11 @@ def _multistart(prob: VertexProblem, inv_d: float, opts: CurvatureOptions):
         res = _lbfgsb(lambda zz: prob.ratio_value_grad(zz, inv_d), z[i], opts)
         if res.fun < f[i]:
             z[i], f[i] = res.x, res.fun
-    finite = np.flatnonzero(status != _FAIL)
-    if not finite.size:
+    finite = status != _FAIL
+    if not finite.any():
         raise NonConvergence("no start converged to a finite value", diagnostics=diag)
-    best = finite[np.argmin(f[finite])]
+    z, f = np.vstack([z[finite], zl]), np.concatenate([f[finite], fl])
+    best = int(np.argmin(f))
     best_val = float(f[best])
     return z[best].copy(), best_val, dict(diag, best_val=best_val)
 
@@ -679,6 +881,8 @@ def cd_upsilon_kappa(
 # Rounding error of an evaluated slack, in machine epsilons per unit of the
 # summed term magnitudes (VertexProblem.check_magnitude_batch).
 _ROUNDING_ULPS = 64
+# log of the largest float: e^f of a counterexample must stay below it
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _check(
@@ -696,11 +900,21 @@ def _check(
     evaluated. A tolerance fixed in units of the squared rate scale would
     absorb any violation that is small next to the rates, such as that of
     the Poisson chain at vertices near exp(1/kappa).
+
+    For p near 2 the ratio can overflow to -inf (the private minimum grows
+    like -e^{K u}, see VertexProblem._private_min). Such a minimiser is
+    halved toward 0 until the slack, its rounding bound and e^f are finite;
+    the slack there is still of order -e^{350} or below.
     """
     z, _, diag = _multistart(prob, inv_d, opts)
-    slack = float(prob.check_batch(z, kappa, inv_d))
-    magnitude = prob.check_magnitude_batch(z, kappa, inv_d)
-    tol = float(_ROUNDING_ULPS * np.finfo(float).eps * magnitude)
+    while True:
+        slack = float(prob.check_batch(z, kappa, inv_d))
+        with np.errstate(over="ignore"):
+            magnitude = prob.check_magnitude_batch(z, kappa, inv_d)
+        tol = float(_ROUNDING_ULPS * np.finfo(float).eps * magnitude)
+        if math.isfinite(slack + tol) and prob.field_from(z).max() < _LOG_MAX:
+            break
+        z = 0.5 * z
     holds = slack >= -tol
     return CheckResult(holds, slack, None if holds else prob.field_from(z), dict(diag, tol=tol))
 
@@ -726,10 +940,21 @@ def cd_upsilon_dim_check(
     opts: CurvatureOptions = DEFAULT_OPTIONS,
 ) -> CheckResult:
     """Finite-dimension variant with the (1/d)(Lf)^2 term; d = inf reduces
-    to the dimensionless check. The verdict is decided as in _check."""
+    to the dimensionless check. The verdict is decided as in _check, except
+    at a vertex that divergence_certificate certifies: there the ratio has
+    no lower bound (the -inv_d (Lf)^2 term only lowers it), so every finite
+    kappa fails, with worst_slack -inf and the family's field at a tau where
+    its asymptote line lies below kappa as counterexample."""
     if not (d > 0):
         raise InvalidParameter("dimension parameter must be positive")
     inv_d = 0.0 if math.isinf(d) else 1.0 / d
+    cert = divergence_certificate(chain, x)
+    if cert is not None:
+        y1 = cert[1]
+        prob = VertexProblem(chain, x)
+        tau = min(-40.0, float(_family_tau(chain, x, y1, kappa)))
+        field = prob.field_from(prob.family_point(int(np.flatnonzero(prob.s1 == y1)[0]), tau))
+        return CheckResult(False, -math.inf, field, {"divergent_via": int(y1), "tau": tau})
     return _check(VertexProblem(chain, x), kappa, inv_d, opts)
 
 
@@ -814,14 +1039,7 @@ def divergence_certificate(chain: MarkovChain, x: int):
         return None
     best = None
     for y1 in divergence_candidates(chain, x):
-        c1 = chain.rate(x, y1)
-        margin = _margin(chain, x, y1)
-        offset = -c1 * chain.m1[x] + c1 * (chain.m1[y1] - chain.rate(y1, x))
-        for y in chain.neighbors[x]:
-            y = int(y)
-            if y != y1:
-                offset += chain.rate(x, y) * chain.rate(y, x)
-        tau_star = (_MINUS_INF_THRESHOLD - 1.0 - offset / (2.0 * c1)) * 2.0 / margin
+        tau_star = _family_tau(chain, x, y1, _MINUS_INF_THRESHOLD)
         if best is None or tau_star > best[0]:
             best = (float(tau_star), y1)
     if best is None:
@@ -829,6 +1047,19 @@ def divergence_certificate(chain: MarkovChain, x: int):
     tau_star, y1 = best
     i1 = int(np.flatnonzero(prob.s1 == y1)[0])
     return tau_star, y1, prob.field_from(prob.family_point(i1, -40.0))
+
+
+def _family_tau(chain: MarkovChain, x: int, y1: int, level: float) -> float:
+    """The tau where the asymptote line of the family through y1 (see
+    divergence_certificate) is one unit below ``level``; the ratio along
+    the family approaches the line from above."""
+    c1 = chain.rate(x, y1)
+    offset = -c1 * chain.m1[x] + c1 * (chain.m1[y1] - chain.rate(y1, x))
+    for y in chain.neighbors[x]:
+        y = int(y)
+        if y != y1:
+            offset += chain.rate(x, y) * chain.rate(y, x)
+    return (level - 1.0 - offset / (2.0 * c1)) * 2.0 / _margin(chain, x, y1)
 
 
 # -- example-family certificates ---------------------------------------------------

@@ -185,6 +185,40 @@ class TestVertexProblem:
                         zm[i] -= h
                         fd = (fun(zp)[0] - fun(zm)[0]) / (2 * h)
                         assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-7)
+            # the ratio's Hessian against central differences of its gradient
+            for inv_d in (0.0, 0.25):
+                val, grad, hess = prob._ratio(zs, inv_d, 2)
+                for a, b in zip((val, grad), prob._ratio(zs, inv_d, 1)):
+                    np.testing.assert_array_equal(a, b)
+                np.testing.assert_allclose(hess, np.swapaxes(hess, 1, 2), rtol=1e-12, atol=1e-12)
+                scale = np.abs(hess).max(axis=(1, 2))[:, None]
+                for i in range(prob.dim):
+                    h = 1e-6
+                    zp, zm = zs.copy(), zs.copy()
+                    zp[:, i] += h
+                    zm[:, i] -= h
+                    fd = (prob._ratio(zp, inv_d)[1] - prob._ratio(zm, inv_d)[1]) / (2 * h)
+                    assert np.all(np.abs(hess[:, :, i] - fd) <= 1e-6 * scale)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_small_field_limit_is_the_quadratic_form(self, rng, p):
+        # the ratio's limit at z -> 0 is the generalized eigenproblem of the
+        # Hessians at 0; at p = 1 and inv_d = 0 that is Bakry-Emery's constant
+        for chain in (ch.complete(4), ch.hypercube(3), branched_tree5(), random_reversible_chain(rng, 6)):
+            prob = cv.VertexProblem(chain, 0, p)
+            for inv_d in (0.0, 0.25):
+                kappa0, v = prob._limit_direction(inv_d)
+                if p == 1.0 and inv_d == 0.0:
+                    assert kappa0 == pytest.approx(cv.bakry_emery_kappa(chain, 0)[0], rel=1e-12)
+                assert np.abs(v).max() == 1.0
+                ratio = lambda z: prob._ratio(z, inv_d, 0)
+                # +-eps v approach kappa0, and no small field goes below it
+                # by more than the O(eps) remainder
+                near = ratio(1e-6 * np.outer([1.0, -1.0], v))
+                assert np.all(np.abs(near - kappa0) <= 1e-4 * max(1.0, abs(kappa0)))
+                zs = rng.normal(size=(500, prob.dim))
+                zs = 1e-6 * zs / np.abs(zs).max(axis=1, keepdims=True)
+                assert ratio(zs).min() >= kappa0 - 1e-4 * max(1.0, abs(kappa0))
 
     def test_power_kernel_tends_to_the_log_kernel(self, rng):
         # at p = 1 + 1e-5 every output of the kernel is within O(p - 1) of
@@ -449,6 +483,23 @@ class TestChecks:
             assert kappa == pytest.approx(2.0, abs=1e-12)
             assert not cv.cd_upsilon_check(chain, kappa + 1e-8, 0).holds
             assert cv.cd_upsilon_check(chain, kappa - 1e-8, 0).holds
+
+    def test_certified_vertex_fails_at_every_kappa(self):
+        # branched_tree5 vertex 2 is certified -inf; a descent in the +-80
+        # box held there at kappa = -1e3, -1e6, -1e9 (slack 5.3e37 to 5.5e43)
+        tree = branched_tree5()
+        for kappa in (-10.0, -1e3, -1e6, -1e9):
+            for d in (math.inf, 3.0):
+                res = cv.cd_upsilon_dim_check(tree, kappa, d, 2, FAST)
+                assert res.holds is False and res.worst_slack == -math.inf
+                assert res.diagnostics["divergent_via"] == 1
+                f = res.counterexample
+                assert np.all(np.isfinite(f)) and f[2] == 0.0
+                tau = res.diagnostics["tau"]
+                assert tau <= -40.0 and f[1] == -tau
+            if kappa == -10.0:  # tau = -40: the family's ratio still evaluates
+                ratio = op.psi2_upsilon(tree, f)[2] / op.psi_upsilon(tree, f)[2]
+                assert ratio < kappa
 
     def test_very_negative_kappa_holds(self):
         assert cv.cd_upsilon_check(ch.complete(3), -1e9, 0, FAST).holds
@@ -736,6 +787,30 @@ class TestCdPCheck:
     def test_p_validation(self):
         with pytest.raises(InvalidParameter):
             cv.cd_p_check(ch.complete(2), 2.5, 0.0, 0)
+
+    def test_private_minimum_near_p_two_does_not_overflow(self, recwarn):
+        # at p = 1.99 the private minimum sits at d* = 100 u_y: from u_y = 7.1
+        # its direct form overflows (the parent read nan at 8 of 24 starts)
+        res = cv.cd_p_check(ch.cycle(5), 1.99, 1.0, 0, cv.CurvatureOptions(starts=24, maxiter=200))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert res.diagnostics["n_fail"] == 0
+        assert res.holds is False and math.isfinite(res.worst_slack) and res.worst_slack < 0
+        F = res.counterexample
+        assert np.all(np.isfinite(F)) and np.all(F > 0)
+        # the scaled form agrees with the direct one where both are finite
+        prob = cv.VertexProblem(ch.cycle(5), 0, 1.99)
+        k_u = (prob.a + 1.0 / (1.0 - prob.a)) * np.array([-3.0, 2.0, 5.9])
+        u = np.concatenate([k_u, [cv._PRIVATE_SCALED + 1.0]]) / (prob.a + 1.0 / (1.0 - prob.a))
+        scaled = prob._private_min(u, 2)
+        a = prob.a
+        for order, val in enumerate(scaled):
+            t = lambda uu: np.exp(a * uu) * (
+                cv.ups(uu) - (1.0 - a) * cv.ups(uu / (1.0 - a))
+            ) / a
+            h = 1e-5
+            ref = [t(u), (t(u + h) - t(u - h)) / (2 * h),
+                   (t(u + h) - 2 * t(u) + t(u - h)) / h**2][order]
+            np.testing.assert_allclose(val, ref, rtol=[1e-9, 1e-6, 1e-3][order])
 
 
 class TestReport:
