@@ -119,6 +119,12 @@ class VertexProblem:
     r vanishes and this is the logarithmic entropy's Psi and Psi_2 of g;
     ``lf`` then is Lg(x).
 
+    The rate arrays ``c``, ``coef``, ``m1x`` and ``_priv_coef`` carry a
+    leading problem axis, of length 1 for one vertex. ``stack`` joins
+    problems with equal ``_shape_key`` into one whose kernel evaluates each
+    row for the problem given by a per-row index (see _objective), over the
+    structural arrays of the first.
+
     The inner minimum over a private z: its edge term T(d) has
     T'(d) = e^{a(u_y + d)} (e^{(1-a) d} - e^{u_y}), so T falls, then rises,
     with its global minimum at d* = u_y/(1 - a), i.e. g(z) = u_y (3-p)/(2-p)
@@ -139,14 +145,14 @@ class VertexProblem:
         if not s1:
             raise IsolatedVertex(f"vertex {chain.states[x]!r} has no neighbours")
         self.s1 = np.array(s1, dtype=np.intp)
-        self.c = np.array(chain.rates[x], dtype=float)
-        self.m1x = float(self.c.sum())
+        self.c = np.array(chain.rates[x], dtype=float)[None]
+        self.m1x = self.c.sum(axis=1)
         m1 = len(s1)
         pos1 = {y: i for i, y in enumerate(s1)}
 
         into_x, into_s1 = [], []
         s2_hits: dict[int, list[tuple[int, float]]] = {}
-        for iy, (y, cy) in enumerate(zip(s1, self.c.tolist())):
+        for iy, (y, cy) in enumerate(zip(s1, self.c[0].tolist())):
             for z, kyz in zip(chain.neighbors[y].tolist(), chain.rates[y].tolist()):
                 coef = cy * kyz
                 if z == self.x:
@@ -175,8 +181,8 @@ class VertexProblem:
         src, tgt, coef = zip(*edges)
         self.src = np.array(src, dtype=np.intp)
         self.tgt = np.array(tgt, dtype=np.intp)
-        self.coef = np.array(coef, dtype=float)
-        n_edges = len(self.coef)
+        self.coef = np.array(coef, dtype=float)[None]
+        n_edges = len(self.src)
         self._n_red = n_edges - len(private)
         cols = np.arange(n_edges)
         self.diff = np.zeros((self.raw_dim, n_edges))
@@ -186,10 +192,48 @@ class VertexProblem:
         self._diff_red = np.ascontiguousarray(self.diff[: self.dim, : self._n_red])
         self._src_inc = (self.src[:, None] == np.arange(m1)).astype(float)
         # the y with private edges, and the sum over those edges of c_y k(y, z)
-        priv_coef = np.bincount(self.src[self._n_red :], self.coef[self._n_red :], minlength=m1)
+        priv_coef = np.bincount(
+            self.src[self._n_red :], self.coef[0, self._n_red :], minlength=m1
+        )
         self._priv_rows = np.flatnonzero(priv_coef)
-        self._priv_coef = priv_coef[self._priv_rows]
+        self._priv_coef = priv_coef[self._priv_rows][None]
         self._hess_bases: dict = {}
+
+    def _shape_key(self) -> tuple:
+        """Problems with equal keys share the reduced kernel's structure:
+        variables, explicit edges, private rows and p."""
+        n = self._n_red
+        return (self.m1, self.m2, self.src[:n].tobytes(), self.tgt[:n].tobytes(),
+                self._priv_rows.tobytes(), self.a)
+
+    @classmethod
+    def stack(cls, problems: list) -> "VertexProblem":
+        """One problem over the rate arrays of ``problems`` (equal
+        ``_shape_key``), in order, sharing the first one's structural
+        arrays and Hessian bases; one problem is returned as it is. A stack
+        evaluates only the reduced form (the private edges of its problems
+        differ), and it has no chain, vertex or ball."""
+        first = problems[0]
+        if len(problems) == 1:
+            return first
+        out = cls.__new__(cls)
+        for name in ("a", "_priv_factor", "m1", "m2", "dim", "src", "tgt", "_n_red",
+                     "diff", "_diff_red", "_src_inc", "_priv_rows", "_hess_bases"):
+            setattr(out, name, getattr(first, name))
+        out.raw_dim = first.raw_dim if first.raw_dim == first.dim else None
+        n = first._n_red
+        out.c = np.concatenate([q.c for q in problems])
+        out.coef = np.concatenate([q.coef[:, :n] for q in problems])
+        out.m1x = np.concatenate([q.m1x for q in problems])
+        out._priv_coef = np.concatenate([q._priv_coef for q in problems])
+        return out
+
+    def _rates(self, k):
+        """(c, coef, m1x, private coef) per row: of problem k[row], or of
+        the only problem for every row (k None, or a single problem)."""
+        if k is None or len(self.m1x) == 1:
+            return self.c[0], self.coef[0], self.m1x[0], self._priv_coef[0]
+        return self.c[k], self.coef[k], self.m1x[k], self._priv_coef[k]
 
     def _tree_like(self) -> bool:
         """No edge inside S1 and no shared S2 vertex: no triangle or 4-cycle
@@ -205,55 +249,60 @@ class VertexProblem:
         edges to the exact inner minimum.
         """
         if width == self.raw_dim:
-            return self.diff, len(self.coef)
+            return self.diff, len(self.src)
         return self._diff_red, self._n_red
 
     def _r(self, s):
         """r(s) = ups(a s)/a, the power entropy's part of its terms."""
         return ups(self.a * s) / self.a
 
-    def _objective(self, z: np.ndarray, grad: bool = False, hess: bool = False):
+    def _objective(self, z: np.ndarray, grad: bool = False, hess: bool = False, k=None):
         """Lf(x), Psi(f)(x) and 2 Psi_2(f)(x) with f(x) = 0 and f|ball = z
         (L phi_p', Psi^(p) and 2 Psi_2^(p) of F = e^f for p > 1).
 
         ``z.shape[-1]`` decides raw versus reduced (see _edges); the
         reduced form takes each private edge at its exact inner minimum.
+        ``k`` (shape ``z.shape[:-1]``) is each row's problem in a stack
+        (_rates). The rate-weighted sums are one dot product per row
+        (np.vecdot), so a row's value does not depend on the rows beside it.
         With ``grad`` also returns dPsi/du and d(2 Psi_2)/dz; with ``hess``
         also the Hessian d^2(2 Psi_2)/dz^2 over the last two axes.
         """
         z = np.asarray(z, dtype=float)
+        c, coef, m1x, priv_coef = self._rates(k)
         u = z[..., : self.m1]
         diff, n = self._edges(z.shape[-1])
         d = z @ diff
-        src, coef = self.src[:n], self.coef[:n]
+        src, coef = self.src[:n], coef[..., :n]
         upv = ups_prime(u)
         upv_src = upv[..., src]
-        lf = u @ self.c
-        psi = ups(u) @ self.c
-        s = upv @ self.c
+        lf = np.vecdot(u, c)
+        psi = np.vecdot(ups(u), c)
+        s = np.vecdot(upv, c)
         edge = ups(d) - upv_src * d
         eu = np.exp(u)
         eu_src = eu[..., src]
         if self.a:
             ru, rd = self._r(u), self._r(d)
-            lf = lf + ru @ self.c
-            psi = psi - ru @ self.c
+            lf = lf + np.vecdot(ru, c)
+            psi = psi - np.vecdot(ru, c)
             eau = np.exp(self.a * u)
             eau_src = eau[..., src]
             edge = eau_src * (edge - eu_src * rd)
-        two_psi2 = edge @ coef + s * lf - self.m1x * psi
-        reduced = n < len(self.coef)
+        two_psi2 = np.vecdot(edge, coef) + s * lf - m1x * psi
+        reduced = n < len(self.src)
         if reduced:
             rows = self._priv_rows
             priv = self._private_min(u[..., rows], 2 if hess else int(grad))
-            two_psi2 = two_psi2 + priv[0] @ self._priv_coef
+            two_psi2 = two_psi2 + np.vecdot(priv[0], priv_coef)
         if not (grad or hess):
             return lf, psi, two_psi2
+        m1x = m1x[..., None]
         # per edge y -> z, the kernel T(d, u_y) = edge differentiated in d and u_y
-        t_d, dpsi, s_u = ups_prime(d) - upv_src, self.c * upv, s[..., None]
+        t_d, dpsi, s_u = ups_prime(d) - upv_src, c * upv, s[..., None]
         if self.a:
             t_d = eau_src * (t_d - eu_src * ups_prime(self.a * d))
-            dpsi = dpsi - self.c * ups_prime(self.a * u)
+            dpsi = dpsi - c * ups_prime(self.a * u)
             s_u = eau * s_u  # dLf/du = c e^{a u}
             # each edge term's own u_y-derivative: a T - e^{(1+a) u_y} (d + r(d))
             t_u = self.a * edge - eu_src * eau_src * (d + rd)
@@ -261,9 +310,9 @@ class VertexProblem:
         else:
             own = -eu * ((coef * d) @ self._src_inc[:n])
         g = (coef * t_d) @ diff.T
-        g[..., : self.m1] += self.c * (eu * lf[..., None] + s_u) + own - self.m1x * dpsi
+        g[..., : self.m1] += c * (eu * lf[..., None] + s_u) + own - m1x * dpsi
         if reduced:
-            g[..., rows] += self._priv_coef * priv[1]
+            g[..., rows] += priv_coef * priv[1]
         if not hess:
             return lf, psi, two_psi2, dpsi, g
         # T_dd, T_du and T_uu; the edge's Hessian is T_dd diff diff^T
@@ -274,17 +323,17 @@ class VertexProblem:
             t_dd = eau_src * (ed - self.a * eu_src * ead)
             t_du = self.a * t_d - eau_src * eu_src * ead
             t_uu = (2.0 * self.a + 1.0) * t_u - self.a * (1.0 + self.a) * edge
-            dl, d2l = self.c * eau, self.a * self.c * eau
-            d2psi = self.c * (eu - self.a * eau)
+            dl, d2l = c * eau, self.a * c * eau
+            d2psi = c * (eu - self.a * eau)
         else:
             t_dd, t_du, t_uu = ed, -eu_src, -eu_src * d
-            dl, d2l, d2psi = self.c, 0.0, self.c * eu
+            dl, d2l, d2psi = c, 0.0, c * eu
         w = np.concatenate([coef * t_dd, coef * t_du, coef * t_uu], axis=-1)
         h = (w @ self._hess_basis(z.shape[-1])).reshape(z.shape + z.shape[-1:])
-        ds = self.c * eu
-        diag = ds * lf[..., None] + s[..., None] * d2l - self.m1x * d2psi
+        ds = c * eu
+        diag = ds * lf[..., None] + s[..., None] * d2l - m1x * d2psi
         if reduced:
-            diag[..., rows] += self._priv_coef * priv[2]
+            diag[..., rows] += priv_coef * priv[2]
         huu = h[..., : self.m1, : self.m1]
         cross = ds[..., :, None] * dl[..., None, :]
         huu += cross + np.swapaxes(cross, -1, -2)
@@ -372,29 +421,30 @@ class VertexProblem:
         slack.
         """
         z = np.asarray(z, dtype=float)
+        c, coef, m1x, priv_coef = self._rates(None)
         u = z[..., : self.m1]
         diff, n = self._edges(z.shape[-1])
         d = z @ diff
         upv = ups_prime(u)
         terms, rounding = self._edge_terms(d, u, upv, self.src[:n])
         computed = self.tgt[:n] >= 0
-        acc = (terms + np.where(computed, rounding, 0.0)) @ self.coef[:n]
+        acc = (terms + np.where(computed, rounding, 0.0)) @ coef[:n]
         lf_terms, psi_terms = np.abs(u), _ups_terms(u)
         if self.a:
             r_terms = _ups_terms(self.a * u) / self.a
             lf_terms, psi_terms = lf_terms + r_terms, psi_terms + r_terms
         up = u[..., self._priv_rows]
-        if n < len(self.coef) and self.a:  # the edge terms at d*, computed
+        if n < len(self.src) and self.a:  # the edge terms at d*, computed
             terms, rounding = self._edge_terms(
                 up / (1.0 - self.a), up, upv[..., self._priv_rows], slice(None)
             )
-            acc = acc + (terms + rounding) @ self._priv_coef
-        elif n < len(self.coef):
-            acc = acc + _omega_terms(up) @ self._priv_coef
-        lf_abs = lf_terms @ self.c
-        acc = acc + (np.abs(upv) @ self.c) * lf_abs
-        psi_terms = psi_terms @ self.c
-        acc = 0.5 * (acc + self.m1x * psi_terms) + abs(kappa) * psi_terms
+            acc = acc + (terms + rounding) @ priv_coef
+        elif n < len(self.src):
+            acc = acc + _omega_terms(up) @ priv_coef
+        lf_abs = lf_terms @ c
+        acc = acc + (np.abs(upv) @ c) * lf_abs
+        psi_terms = psi_terms @ c
+        acc = 0.5 * (acc + m1x * psi_terms) + abs(kappa) * psi_terms
         return acc + inv_d * lf_abs**2
 
     def _edge_terms(self, d, u, upv, src):
@@ -415,21 +465,22 @@ class VertexProblem:
     # lockstep rows), ratio_value_grad is what a single L-BFGS-B descent
     # calls. check_value_grad is the slack's value and gradient at one point.
 
-    def _dlf(self, z: np.ndarray):
-        """dLf/du at z (d L phi_p'/du = c e^{a u} for p > 1)."""
+    def _dlf(self, z: np.ndarray, c: np.ndarray):
+        """dLf/du at z for rates c (d L phi_p'/du = c e^{a u} for p > 1)."""
         u = np.asarray(z, dtype=float)[..., : self.m1]
-        return self.c * np.exp(self.a * u) if self.a else self.c
+        return c * np.exp(self.a * u) if self.a else c
 
-    def _ratio(self, z: np.ndarray, inv_d: float = 0.0, order: int = 1):
+    def _ratio(self, z: np.ndarray, inv_d: float = 0.0, order: int = 1, k=None):
         """(2 Psi_2 - 2 inv_d (Lf)^2) / (2 Psi), with its gradient for
         ``order`` >= 1 and its Hessian for ``order`` 2; a flat point
-        (Psi = 0) reads 1e100 with gradient and Hessian 0.
+        (Psi = 0) reads 1e100 with gradient and Hessian 0. ``k`` is each
+        row's problem, as in _objective.
 
         With N the numerator and P = 2 Psi, the gradient is (N' - R P')/P
         and the Hessian (N'' - R P'' - R' P'^T - P' R'^T)/P.
         """
         z = np.asarray(z, dtype=float)
-        out = self._objective(z, grad=order > 0, hess=order > 1)
+        out = self._objective(z, grad=order > 0, hess=order > 1, k=k)
         lf, psi, two_psi2 = out[:3]
         if inv_d:
             two_psi2 = two_psi2 - 2.0 * inv_d * lf * lf
@@ -438,10 +489,10 @@ class VertexProblem:
             val = two_psi2 / (2.0 * psi)
         if not order:
             return np.where(flat, 1e100, val)
-        m1 = self.m1
+        m1, c = self.m1, self._rates(k)[0]
         dpsi, g = out[3:5]
         if inv_d:
-            dl = self._dlf(z)
+            dl = self._dlf(z, c)
             g[..., :m1] -= 4.0 * inv_d * lf[..., None] * dl
         with np.errstate(divide="ignore", invalid="ignore"):
             grad = g / (2.0 * psi[..., None])
@@ -451,9 +502,9 @@ class VertexProblem:
             return np.where(flat, 1e100, val), grad
         h = out[5]
         u, i = z[..., :m1], np.arange(m1)
-        d2psi = self.c * np.exp(u)
+        d2psi = c * np.exp(u)
         if self.a:
-            eau = self.c * np.exp(self.a * u)
+            eau = c * np.exp(self.a * u)
             d2psi = d2psi - self.a * eau
         if inv_d:
             huu = h[..., :m1, :m1]
@@ -478,29 +529,36 @@ class VertexProblem:
         lf, psi, two_psi2, dpsi, g = self._objective(z, grad=True)
         val = 0.5 * two_psi2 - kappa * psi - inv_d * lf * lf
         grad = 0.5 * g
-        grad[: self.m1] -= kappa * dpsi + 2.0 * inv_d * lf * self._dlf(z)
+        grad[: self.m1] -= kappa * dpsi + 2.0 * inv_d * lf * self._dlf(z, self.c[0])
         return float(val), grad
 
     def _limit_direction(self, inv_d: float = 0.0):
-        """The small-field limit of the ratio: (kappa_0, v).
+        """The small-field limit of the ratio, per problem: (kappa_0, v),
+        arrays over the leading problem axis.
 
         Along z = eps v the ratio tends, as eps -> 0, to v^T N v / v^T P v,
         N and P the Hessians at 0 of its numerator and of 2 Psi (both vanish
-        to second order there). P lives on S1 and N's shared-S2 block is
-        diagonal and positive, so shared S2 is eliminated exactly and the
-        infimum over v is the least eigenvalue kappa_0 of a generalized
-        symmetric problem; at p = 1 and inv_d = 0 this is Bakry-Emery's
+        to second order there). P = diag(2 (1 - a) c) lives on S1 and N's
+        shared-S2 block is diagonal and positive, so shared S2 is eliminated
+        exactly and the infimum over v is the least eigenvalue kappa_0 of a
+        generalized symmetric problem, solved as the standard one
+        P^{-1/2} N P^{-1/2}; at p = 1 and inv_d = 0 this is Bakry-Emery's
         Gamma_2/Gamma (bakry_emery_kappa). v minimises it, with max |v| = 1.
         """
-        m1 = self.m1
-        h = self._objective(np.zeros(self.dim), hess=True)[5]
-        huu, huw, hww = h[:m1, :m1], h[:m1, m1:], h[m1:, m1:]
-        huu = huu - 4.0 * inv_d * np.outer(self.c, self.c)  # dLf/du = c at 0
-        schur = huu - huw @ np.linalg.solve(hww, huw.T) if self.m2 else huu
-        vals, vecs = scipy.linalg.eigh(schur, np.diag(2.0 * (1.0 - self.a) * self.c))
-        u = vecs[:, 0]
-        v = np.concatenate([u, -np.linalg.solve(hww, huw.T @ u)]) if self.m2 else u
-        return float(vals[0]), v / np.abs(v).max()
+        m1, c = self.m1, self.c
+        n_prob = len(c)
+        h = self._objective(np.zeros((n_prob, self.dim)), hess=True, k=np.arange(n_prob))[5]
+        huu, huw, hww = h[:, :m1, :m1], h[:, :m1, m1:], h[:, m1:, m1:]
+        huu = huu - 4.0 * inv_d * c[:, :, None] * c[:, None, :]  # dLf/du = c at 0
+        if self.m2:
+            elim = np.linalg.solve(hww, np.swapaxes(huw, 1, 2))  # (problem, m2, m1)
+            huu = huu - huw @ elim
+        scale = 1.0 / np.sqrt(2.0 * (1.0 - self.a) * c)
+        vals, vecs = np.linalg.eigh(scale[:, :, None] * huu * scale[:, None, :])
+        v = vecs[:, :, 0] * scale
+        if self.m2:
+            v = np.concatenate([v, -np.einsum("kij,kj->ki", elim, v)], axis=1)
+        return vals[:, 0], v / np.abs(v).max(axis=1, keepdims=True)
 
     # -- embedding back into a full field ---------------------------------------
 
@@ -552,18 +610,23 @@ def bakry_emery_kappa(chain: MarkovChain, x: int):
     so it is eliminated exactly by its weighted-mean minimizer; the rest is
     a generalized symmetric eigenvalue problem against 2*Gamma.
     """
-    prob = VertexProblem(chain, x)
-    m1 = prob.m1
+    return _bakry_emery(VertexProblem(chain, x))
+
+
+def _bakry_emery(prob: VertexProblem):
+    """bakry_emery_kappa on the built problem of its vertex."""
+    m1, chain = prob.m1, prob.chain
+    c, coef, m1x, _ = prob._rates(None)
     # column e of `a` is f(z) - 2 u_y on edge e, over the raw columns
     a = prob.diff.copy()
     a[prob.src, np.arange(len(prob.src))] -= 1.0
-    q = (a * prob.coef) @ a.T
+    q = (a * coef) @ a.T
     quu, quv, qvv = q[:m1, :m1], q[:m1, m1:], np.diag(q)[m1:]
     # -sum_y c_y M1(y) u_y^2 + 2 (Lf)^2 - M1(x) sum c_y u_y^2
-    quu[np.diag_indices(m1)] -= prob.c * chain.m1[prob.s1] + prob.m1x * prob.c
-    quu += 2.0 * np.outer(prob.c, prob.c)
+    quu[np.diag_indices(m1)] -= c * chain.m1[prob.s1] + m1x * c
+    quu += 2.0 * np.outer(c, c)
     quu = quu - (quv / qvv) @ quv.T
-    b = 2.0 * np.diag(prob.c)
+    b = 2.0 * np.diag(c)
     vals, vecs = scipy.linalg.eigh(quu, b)
     kappa = float(vals[0])
     u = vecs[:, 0]
@@ -601,6 +664,12 @@ class CheckResult:
     worst_slack: float
     counterexample: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
+
+
+def _start_count(prob: VertexProblem, opts: CurvatureOptions) -> int:
+    """len(_start_points(prob, opts, rng)): the fixed starts, topped up with
+    random ones to ``opts.starts``."""
+    return max(opts.starts, 8 + 2 * prob.dim + len(_PROBE_TAUS) * prob.m1)
 
 
 def _start_points(prob: VertexProblem, opts: CurvatureOptions, rng) -> list:
@@ -647,6 +716,10 @@ _LIMIT_RADIUS = 1e-3
 # Rows times (second-step edges + dim^2) per kernel call of the line search:
 # bounds each temporary of the call at a few MB on large two-balls.
 _BLOCK_ELEMENTS = 2**18
+# Starts times (second-step edges + dim^2) of one lockstep (_solve): same-
+# shape vertices descend together in chunks this size, so the rows' state
+# (z, gradients, Hessians) stays at a few MB.
+_GROUP_ELEMENTS = 2**18
 # How a start ended (_ACTIVE while it still descends in lockstep).
 _ACTIVE, _CONVERGED, _HANDOFF, _FAIL = range(4)
 
@@ -676,11 +749,12 @@ def _usable(f, g, h) -> np.ndarray:
     return (np.isfinite(f) & finite) | (f == -np.inf)
 
 
-def _in_blocks(batch_fun, z, block: int):
-    """batch_fun over the rows of z, at most ``block`` rows per call."""
+def _in_blocks(batch_fun, z, k, block: int):
+    """batch_fun(z, k) over the rows of z and their problems k, at most
+    ``block`` rows per call."""
     if len(z) <= block:
-        return batch_fun(z)
-    parts = [batch_fun(z[i : i + block]) for i in range(0, len(z), block)]
+        return batch_fun(z, k)
+    parts = [batch_fun(z[i : i + block], k[i : i + block]) for i in range(0, len(z), block)]
     if isinstance(parts[0], np.ndarray):
         return np.concatenate(parts)
     return tuple(np.concatenate(out) for out in zip(*parts))
@@ -706,8 +780,9 @@ def _newton_direction(g, h, held):
     return -np.einsum("rij,rj->ri", vec, gv / mag)
 
 
-def _line_search(fun, z, f, g, p, lo, hi, block: int):
-    """Armijo search from the rows z along p, clipped to [lo, hi].
+def _line_search(fun, z, prob_of, f, g, p, lo, hi, block: int):
+    """Armijo search from the rows z (of problems prob_of) along p, clipped
+    to [lo, hi].
 
     One call of values at every multiple _STEPS of p (a step longer than p
     counts only where the box does not clip it) keeps, per row, the lowest
@@ -723,7 +798,10 @@ def _line_search(fun, z, f, g, p, lo, hi, block: int):
     def trials(rows, mult):
         steps = z[rows, None] + mult[:, None] * p[rows, None]
         zt = np.clip(steps, lo, hi)
-        ft = _in_blocks(lambda zz: fun(zz, 0), zt.reshape(-1, dim), block).reshape(zt.shape[:2])
+        kt = np.repeat(prob_of[rows], len(mult))
+        ft = _in_blocks(
+            lambda zz, kk: fun(zz, kk, 0), zt.reshape(-1, dim), kt, block
+        ).reshape(zt.shape[:2])
         return steps, zt, ft, _armijo(z[rows, None], f[rows, None], g[rows, None], zt, ft)
 
     rows = np.arange(n)
@@ -743,22 +821,26 @@ def _line_search(fun, z, f, g, p, lo, hi, block: int):
     g1, h1 = np.zeros_like(z), np.zeros((n, dim, dim))
     rows = np.flatnonzero(ok)
     if rows.size:
-        f1[rows], g1[rows], h1[rows] = _in_blocks(lambda zz: fun(zz, 2), z1[rows], block)
+        f1[rows], g1[rows], h1[rows] = _in_blocks(
+            lambda zz, kk: fun(zz, kk, 2), z1[rows], prob_of[rows], block
+        )
         ok[rows] = _usable(f1[rows], g1[rows], h1[rows])
     return ok, step, z1, f1, g1, h1
 
 
-def _lockstep(fun, z, opts: CurvatureOptions, block: int, limit: float):
+def _lockstep(fun, z, prob_of, opts: CurvatureOptions, block: int, limit):
     """Projected modified Newton from every row of ``z`` at once.
 
-    ``fun(z, order)`` is the objective over the last axis of z: its value,
-    and for ``order`` 2 also its gradient and Hessian. Each iteration steps
+    ``fun(z, k, order)`` is the objective over the last axis of z, each
+    row's problem given by k (rows z[i] have problems prob_of[i]; see
+    VertexProblem.stack): its value, and for
+    ``order`` 2 also its gradient and Hessian. Each iteration steps
     every active row along its modified Newton direction (_newton_direction)
     with the line search _line_search: one call at the trial points, plus
     two for the rows that backtrack. A row converges on the projected-
     gradient or the relative-decrease rule (_GTOL, _FTOL), at a value of
     -inf, or when it enters the small-field ball (_LIMIT_RADIUS) at a value
-    not below ``limit``, the ratio at the limit's candidate points (see
+    not below its ``limit``, the ratio at its problem's limit candidates (see
     _multistart); it is handed off to L-BFGS-B when its accepted step was
     clipped by the box, when no step satisfies Armijo, when its gradient or
     Hessian is not finite, or at ``opts.maxiter``; it fails when its start
@@ -768,7 +850,7 @@ def _lockstep(fun, z, opts: CurvatureOptions, block: int, limit: float):
     """
     lo, hi = -opts.bound, opts.bound
     z = z.copy()
-    f, g, h = _in_blocks(lambda zz: fun(zz, 2), z, block)
+    f, g, h = _in_blocks(lambda zz, kk: fun(zz, kk, 2), z, prob_of, block)
     status = np.where(np.isfinite(f), _ACTIVE, _FAIL)
     status[f == -np.inf] = _CONVERGED
     status[(status == _ACTIVE) & ~_usable(f, g, h)] = _HANDOFF
@@ -776,7 +858,7 @@ def _lockstep(fun, z, opts: CurvatureOptions, block: int, limit: float):
         act = np.flatnonzero(status == _ACTIVE)
         za = z[act]
         pg = np.abs(np.clip(za - g[act], lo, hi) - za).max(axis=1)
-        settled = (np.abs(za).max(axis=1) <= _LIMIT_RADIUS) & (f[act] >= limit)
+        settled = (np.abs(za).max(axis=1) <= _LIMIT_RADIUS) & (f[act] >= limit[act])
         done = (pg <= _GTOL) | settled
         status[act[done]] = _CONVERGED
         act = act[~done]
@@ -792,7 +874,7 @@ def _lockstep(fun, z, opts: CurvatureOptions, block: int, limit: float):
         out = ((za == lo) & (p < 0)) | ((za == hi) & (p > 0))
         if out.any():
             p = _newton_direction(ga, h[act], held | out)
-        ok, step, zt, ft, gt, ht = _line_search(fun, za, fa, ga, p, lo, hi, block)
+        ok, step, zt, ft, gt, ht = _line_search(fun, za, prob_of[act], fa, ga, p, lo, hi, block)
         status[act[~ok]] = _HANDOFF
         act, fa, step = act[ok], fa[ok], step[ok]
         zt, ft, gt, ht = zt[ok], ft[ok], gt[ok], ht[ok]
@@ -806,49 +888,90 @@ def _lockstep(fun, z, opts: CurvatureOptions, block: int, limit: float):
     return z, f, status
 
 
-def _multistart(prob: VertexProblem, inv_d: float, opts: CurvatureOptions):
-    """Minimize the ratio (2 Psi_2 - 2 inv_d (Lf)^2)/(2 Psi) of ``prob``
-    from every start; returns (best_z, best_val, diagnostics).
+def _multistart(probs: list, inv_d: float, opts: CurvatureOptions) -> list:
+    """Minimize the ratio (2 Psi_2 - 2 inv_d (Lf)^2)/(2 Psi) of each problem
+    of ``probs`` (equal _shape_key) from every one of its starts; returns,
+    per problem, (best_z, best_val, diagnostics) or the NonConvergence to
+    raise for it.
 
     The random starts draw from the (seed, x) generator, so a vertex gets
-    the same starts wherever it is solved. All starts descend in lockstep
-    (_lockstep); each handed-off row is finished by one L-BFGS-B descent
+    the same starts wherever it is solved. The starts of every problem
+    descend in one lockstep (_lockstep) over the problems' stack; each
+    handed-off row is finished by one L-BFGS-B descent on its own problem
     from where it stopped, the only other descent. The small-field limit
-    (VertexProblem._limit_direction) adds two candidates, +-_LIMIT_SCALE v:
-    where the infimum is only approached as f -> 0 they hold it (to
-    O(_LIMIT_SCALE^2)), and rows that reach the limit stop there. The
-    winner is the lowest of the rows and the candidates. The diagnostics
-    count how each start ended: ``n_converged`` in lockstep, ``n_handoff``
-    to L-BFGS-B, ``n_fail`` at a non-finite start; they sum to
-    ``n_starts``.
+    (VertexProblem._limit_direction) adds two candidates per problem,
+    +-_LIMIT_SCALE v: where the infimum is only approached as f -> 0 they
+    hold it (to O(_LIMIT_SCALE^2)), and rows that reach the limit stop
+    there. A problem's winner is the lowest of its rows and candidates. Its
+    diagnostics count how each of its starts ended: ``n_converged`` in
+    lockstep, ``n_handoff`` to L-BFGS-B, ``n_fail`` at a non-finite start;
+    they sum to ``n_starts``.
     """
-    rng = np.random.default_rng((opts.seed, prob.x))
-    starts = np.array(_start_points(prob, opts, rng))
-    block = max(1, _BLOCK_ELEMENTS // (len(prob.coef) + prob.dim**2))
+    stack = VertexProblem.stack(probs)
+    starts = [
+        _start_points(q, opts, np.random.default_rng((opts.seed, q.x))) for q in probs
+    ]
+    n_starts, ids = len(starts[0]), np.arange(len(probs))
+    block = max(1, _BLOCK_ELEMENTS // (len(stack.src) + stack.dim**2))
 
-    def fun(zz, order):
-        return prob._ratio(zz, inv_d, order)
+    def fun(zz, kk, order):
+        return stack._ratio(zz, inv_d, order, kk)
 
-    zl = _LIMIT_SCALE * np.outer([1.0, -1.0], prob._limit_direction(inv_d)[1])
-    fl = fun(zl, 0)
-    z, f, status = _lockstep(fun, starts, opts, block, float(fl.min()))
-    diag = {
-        "n_starts": len(starts),
-        "n_fail": int(np.sum(status == _FAIL)),
-        "n_converged": int(np.sum(status == _CONVERGED)),
-        "n_handoff": int(np.sum(status == _HANDOFF)),
-    }
-    for i in np.flatnonzero(status == _HANDOFF):
-        res = _lbfgsb(lambda zz: prob.ratio_value_grad(zz, inv_d), z[i], opts)
-        if res.fun < f[i]:
-            z[i], f[i] = res.x, res.fun
-    finite = status != _FAIL
-    if not finite.any():
-        raise NonConvergence("no start converged to a finite value", diagnostics=diag)
-    z, f = np.vstack([z[finite], zl]), np.concatenate([f[finite], fl])
-    best = int(np.argmin(f))
-    best_val = float(f[best])
-    return z[best].copy(), best_val, dict(diag, best_val=best_val)
+    v = stack._limit_direction(inv_d)[1]
+    zl = _LIMIT_SCALE * np.stack([v, -v], axis=1)
+    fl = fun(zl.reshape(-1, stack.dim), np.repeat(ids, 2), 0).reshape(len(probs), 2)
+    row_prob = np.repeat(ids, n_starts)
+    z, f, status = _lockstep(
+        fun, np.concatenate(starts), row_prob, opts, block, fl.min(axis=1)[row_prob]
+    )
+    out = []
+    for j, q in enumerate(probs):
+        rows = slice(j * n_starts, (j + 1) * n_starts)
+        zj, fj, sj = z[rows], f[rows], status[rows]
+        diag = {
+            "n_starts": n_starts,
+            "n_fail": int(np.sum(sj == _FAIL)),
+            "n_converged": int(np.sum(sj == _CONVERGED)),
+            "n_handoff": int(np.sum(sj == _HANDOFF)),
+        }
+        for i in np.flatnonzero(sj == _HANDOFF):
+            res = _lbfgsb(lambda zz: q.ratio_value_grad(zz, inv_d), zj[i], opts)
+            if res.fun < fj[i]:
+                zj[i], fj[i] = res.x, res.fun
+        finite = sj != _FAIL
+        if not finite.any():
+            out.append(NonConvergence("no start converged to a finite value", diagnostics=diag))
+            continue
+        zc, fc = np.vstack([zj[finite], zl[j]]), np.concatenate([fj[finite], fl[j]])
+        best = int(np.argmin(fc))
+        best_val = float(fc[best])
+        out.append((zc[best].copy(), best_val, dict(diag, best_val=best_val)))
+    return out
+
+
+def _solve(probs: list, inv_d: float, opts: CurvatureOptions) -> list:
+    """_multistart's result for every problem of ``probs``, in order: one
+    lockstep per chunk of problems with equal _shape_key, each chunk at
+    most _GROUP_ELEMENTS starts times (second-step edges + dim^2)."""
+    groups: dict = {}
+    for i, q in enumerate(probs):
+        groups.setdefault(q._shape_key(), []).append(i)
+    out = [None] * len(probs)
+    for idx in groups.values():
+        q = probs[idx[0]]
+        chunk = max(1, _GROUP_ELEMENTS // (_start_count(q, opts) * (q._n_red + q.dim**2)))
+        for lo in range(0, len(idx), chunk):
+            part = idx[lo : lo + chunk]
+            for i, res in zip(part, _multistart([probs[i] for i in part], inv_d, opts)):
+                out[i] = res
+    return out
+
+
+def _solved(res):
+    """A _multistart result, raising its NonConvergence."""
+    if isinstance(res, NonConvergence):
+        raise res
+    return res
 
 
 def cd_upsilon_kappa(
@@ -863,19 +986,19 @@ def cd_upsilon_kappa(
     """
     # Divergence first: the witness family drives the ratio below any bound
     # (linearly in tau) exactly when the branching condition holds.
-    cert = divergence_certificate(chain, x)
-    if cert is not None:
-        tau_star, y1, witness = cert
-        return VertexEstimate(
-            x,
-            float("-inf"),
-            witness,
-            {"divergent_via": int(y1), "tau_at_threshold": tau_star},
-        )
-
     prob = VertexProblem(chain, x)
-    z, val, diag = _multistart(prob, 0.0, opts)
+    cert = _certificate(prob)
+    if cert is not None:
+        return _certified_estimate(x, cert)
+    z, val, diag = _solved(_multistart([prob], 0.0, opts)[0])
     return VertexEstimate(x, val, prob.field_from(z), diag)
+
+
+def _certified_estimate(x: int, cert) -> VertexEstimate:
+    tau_star, y1, witness = cert
+    return VertexEstimate(
+        x, float("-inf"), witness, {"divergent_via": int(y1), "tau_at_threshold": tau_star}
+    )
 
 
 # Rounding error of an evaluated slack, in machine epsilons per unit of the
@@ -885,18 +1008,18 @@ _ROUNDING_ULPS = 64
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
-def _check(
-    prob: VertexProblem, kappa: float, inv_d: float, opts: CurvatureOptions
-) -> CheckResult:
-    """Decide Psi_2 - kappa Psi - inv_d (Lf)^2 >= 0 at every field of ``prob``.
+def _checks(probs: list, kappa: float, inv_d: float, opts: CurvatureOptions) -> list:
+    """Decide Psi_2 - kappa Psi - inv_d (Lf)^2 >= 0 at every field of each
+    problem of ``probs``; returns a CheckResult per problem, or the
+    NonConvergence to raise for it.
 
     The condition holds iff kappa is at most the infimum of its ratio
     (2 Psi_2 - 2 inv_d (Lf)^2)/(2 Psi), so the check runs the descent that
-    cd_upsilon_kappa runs (_multistart) on that ratio; kappa does not enter
-    it. The verdict is the sign of the slack at the ratio's minimiser:
-    ``holds`` iff the slack is >= -tol with tol = 64 machine epsilons times
-    the sum of the magnitudes of the slack's terms there
-    (``diagnostics["tol"]``), the rounding error of the slack actually
+    cd_upsilon_kappa runs (_multistart, grouped by _solve) on that ratio;
+    kappa does not enter it. The verdict is the sign of the slack at the
+    ratio's minimiser: ``holds`` iff the slack is >= -tol with tol = 64
+    machine epsilons times the sum of the magnitudes of the slack's terms
+    there (``diagnostics["tol"]``), the rounding error of the slack actually
     evaluated. A tolerance fixed in units of the squared rate scale would
     absorb any violation that is small next to the rates, such as that of
     the Poisson chain at vertices near exp(1/kappa).
@@ -906,17 +1029,49 @@ def _check(
     halved toward 0 until the slack, its rounding bound and e^f are finite;
     the slack there is still of order -e^{350} or below.
     """
-    z, _, diag = _multistart(prob, inv_d, opts)
-    while True:
-        slack = float(prob.check_batch(z, kappa, inv_d))
-        with np.errstate(over="ignore"):
-            magnitude = prob.check_magnitude_batch(z, kappa, inv_d)
-        tol = float(_ROUNDING_ULPS * np.finfo(float).eps * magnitude)
-        if math.isfinite(slack + tol) and prob.field_from(z).max() < _LOG_MAX:
-            break
-        z = 0.5 * z
-    holds = slack >= -tol
-    return CheckResult(holds, slack, None if holds else prob.field_from(z), dict(diag, tol=tol))
+    out = []
+    for prob, res in zip(probs, _solve(probs, inv_d, opts)):
+        if isinstance(res, NonConvergence):
+            out.append(res)
+            continue
+        z, _, diag = res
+        while True:
+            slack = float(prob.check_batch(z, kappa, inv_d))
+            with np.errstate(over="ignore"):
+                magnitude = prob.check_magnitude_batch(z, kappa, inv_d)
+            tol = float(_ROUNDING_ULPS * np.finfo(float).eps * magnitude)
+            if math.isfinite(slack + tol) and prob.field_from(z).max() < _LOG_MAX:
+                break
+            z = 0.5 * z
+        holds = slack >= -tol
+        out.append(
+            CheckResult(holds, slack, None if holds else prob.field_from(z), dict(diag, tol=tol))
+        )
+    return out
+
+
+def _vertex_checks(chain: MarkovChain, kappa: float, vertices, opts: CurvatureOptions,
+                   inv_d: float = 0.0) -> list:
+    """cd_upsilon_dim_check at each of ``vertices`` (inv_d = 1/d): one
+    CheckResult per vertex, in order, or the NonConvergence to raise for it.
+    Certified vertices fail by their certificate; the others are decided by
+    _checks in lockstep groups."""
+    probs = [VertexProblem(chain, x) for x in vertices]
+    certs = [_certificate(q) for q in probs]
+    todo = [i for i, cert in enumerate(certs) if cert is None]
+    out = [None if cert is None else _certified_failure(q, cert[1], kappa)
+           for q, cert in zip(probs, certs)]
+    for i, res in zip(todo, _checks([probs[i] for i in todo], kappa, inv_d, opts)):
+        out[i] = res
+    return out
+
+
+def _certified_failure(prob: VertexProblem, y1: int, kappa: float) -> CheckResult:
+    """Every finite kappa fails at a certified vertex: the counterexample is
+    the family's field at a tau where its asymptote line lies below kappa."""
+    tau = min(-40.0, float(_family_tau(prob.chain, prob.x, y1, kappa)))
+    field = prob.field_from(prob.family_point(int(np.flatnonzero(prob.s1 == y1)[0]), tau))
+    return CheckResult(False, -math.inf, field, {"divergent_via": int(y1), "tau": tau})
 
 
 def cd_upsilon_check(
@@ -928,7 +1083,7 @@ def cd_upsilon_check(
     """Decide the pointwise inequality Psi_2 >= kappa Psi at x: whether
     kappa is at most the minimum of Psi_2/Psi that cd_upsilon_kappa's
     descent finds with the same ``opts``, up to the rounding error of the
-    slack there (see _check)."""
+    slack there (see _checks)."""
     return cd_upsilon_dim_check(chain, kappa, math.inf, x, opts)
 
 
@@ -940,7 +1095,7 @@ def cd_upsilon_dim_check(
     opts: CurvatureOptions = DEFAULT_OPTIONS,
 ) -> CheckResult:
     """Finite-dimension variant with the (1/d)(Lf)^2 term; d = inf reduces
-    to the dimensionless check. The verdict is decided as in _check, except
+    to the dimensionless check. The verdict is decided as in _checks, except
     at a vertex that divergence_certificate certifies: there the ratio has
     no lower bound (the -inv_d (Lf)^2 term only lowers it), so every finite
     kappa fails, with worst_slack -inf and the family's field at a tau where
@@ -948,14 +1103,7 @@ def cd_upsilon_dim_check(
     if not (d > 0):
         raise InvalidParameter("dimension parameter must be positive")
     inv_d = 0.0 if math.isinf(d) else 1.0 / d
-    cert = divergence_certificate(chain, x)
-    if cert is not None:
-        y1 = cert[1]
-        prob = VertexProblem(chain, x)
-        tau = min(-40.0, float(_family_tau(chain, x, y1, kappa)))
-        field = prob.field_from(prob.family_point(int(np.flatnonzero(prob.s1 == y1)[0]), tau))
-        return CheckResult(False, -math.inf, field, {"divergent_via": int(y1), "tau": tau})
-    return _check(VertexProblem(chain, x), kappa, inv_d, opts)
+    return _solved(_vertex_checks(chain, kappa, [x], opts, inv_d)[0])
 
 
 def cd_p_check(
@@ -968,11 +1116,11 @@ def cd_p_check(
     """Power-entropy condition Psi_2^{(p)} >= kappa/(2-p) Psi^{(p)} at x.
 
     Minimizes over positive fields F = exp(g) on the two-ball's edge list
-    (VertexProblem with p), decided as in _check; the counterexample is F.
+    (VertexProblem with p), decided as in _checks; the counterexample is F.
     """
     if not 1.0 < p < 2.0:
         raise InvalidParameter(f"p must lie in (1,2), got {p}")
-    res = _check(VertexProblem(chain, x, p), kappa / (2.0 - p), 0.0, opts)
+    res = _solved(_checks([VertexProblem(chain, x, p)], kappa / (2.0 - p), 0.0, opts)[0])
     if res.counterexample is not None:
         res.counterexample = np.exp(res.counterexample)
     return res
@@ -1034,7 +1182,12 @@ def divergence_certificate(chain: MarkovChain, x: int):
     tau_star and no other neighbour's line gets there first, else None. It
     is the only source of a reported -inf (cd_upsilon_kappa).
     """
-    prob = VertexProblem(chain, x)
+    return _certificate(VertexProblem(chain, x))
+
+
+def _certificate(prob: VertexProblem):
+    """divergence_certificate on the built problem of its vertex."""
+    chain, x = prob.chain, prob.x
     if not prob._tree_like():
         return None
     best = None
@@ -1267,26 +1420,26 @@ def chain_hash(chain: MarkovChain) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _vertex_record(chain: MarkovChain, x: int, opts: CurvatureOptions) -> dict:
-    kbe, witness_be = bakry_emery_kappa(chain, x)
+def _vertex_record(prob: VertexProblem, cert, res) -> dict:
+    """A report row from the vertex's problem, its certificate and, where
+    none applies, its _multistart result."""
+    x, chain = prob.x, prob.chain
+    kbe, witness_be = _bakry_emery(prob)
     rec = {"vertex": x, "state": chain.states[x], "kappa_be": kbe, "witness_be": witness_be}
-    try:
-        est = cd_upsilon_kappa(chain, x, opts)
-    except NonConvergence as exc:
+    if cert is not None:
+        est = _certified_estimate(x, cert)
+        return dict(rec, kappa_upsilon=est.kappa, slack=0.0, witness=est.witness,
+                    diagnostics=est.diagnostics)
+    if isinstance(res, NonConvergence):
         return dict(
             rec, kappa_upsilon=float("nan"), slack=0.0, witness=np.zeros(chain.n),
-            diagnostics=dict(exc.diagnostics, nonconverged=True),
+            diagnostics=dict(res.diagnostics, nonconverged=True),
         )
-    witness = est.witness if est.witness is not None else np.zeros(chain.n)
-    slack = 0.0
-    if not est.minus_infinity:
-        prob = VertexProblem(chain, x)
-        _, psi, two_psi2 = prob._objective(witness[prob.ball[: prob.dim]])
-        if psi > 0:
-            slack = float(0.5 * two_psi2 - est.kappa * psi)
-    return dict(
-        rec, kappa_upsilon=est.kappa, slack=slack, witness=witness, diagnostics=est.diagnostics
-    )
+    z, kappa, diag = res
+    _, psi, two_psi2 = prob._objective(z)
+    slack = float(0.5 * two_psi2 - kappa * psi) if psi > 0 else 0.0
+    return dict(rec, kappa_upsilon=kappa, slack=slack, witness=prob.field_from(z),
+                diagnostics=diag)
 
 
 def chain_curvature_report(
@@ -1294,10 +1447,18 @@ def chain_curvature_report(
 ) -> CurvatureReport:
     """Per-vertex Bakry-Emery and exponential-calculus constants.
 
-    Results are deterministic because every vertex draws from its own
-    (seed, vertex) generator.
+    Each vertex's problem is built once. Vertices that the divergence
+    certificate answers are -inf; the others are solved by _solve, one
+    lockstep descent per chunk of vertices with the same two-ball shape,
+    with the answers of cd_upsilon_kappa at each vertex up to the rounding
+    of the batched kernel calls. Results are deterministic because every
+    vertex draws from its own (seed, vertex) generator.
     """
-    records = [_vertex_record(chain, x, opts) for x in range(chain.n)]
+    probs = [VertexProblem(chain, x) for x in range(chain.n)]
+    certs = [_certificate(q) for q in probs]
+    todo = [x for x in range(chain.n) if certs[x] is None]
+    solved = dict(zip(todo, _solve([probs[x] for x in todo], 0.0, opts)))
+    records = [_vertex_record(q, cert, solved.get(q.x)) for q, cert in zip(probs, certs)]
     kbe = min(r["kappa_be"] for r in records)
     kus = [r["kappa_upsilon"] for r in records]
     finite = [k for k in kus if not math.isnan(k)]
@@ -1310,6 +1471,8 @@ def chain_curvature_report(
         seed=opts.seed,
         opts={
             "starts": opts.starts,
+            "bound": opts.bound,
+            "maxiter": opts.maxiter,
             "amplitude": _AMPLITUDE,
             "minus_inf_threshold": _MINUS_INF_THRESHOLD,
         },

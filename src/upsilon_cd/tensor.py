@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import MarkovChain, chain_from_rates
-from .curvature import CurvatureOptions, DEFAULT_OPTIONS, cd_upsilon_check
+from .curvature import CurvatureOptions, DEFAULT_OPTIONS, _solved, _vertex_checks
 from .errors import PrerequisiteFailed, SizeOverflow
 from .operators import _field, psi2_upsilon
 
@@ -93,11 +93,14 @@ def tensor_curvature_check(
     Also checks the splitting superadditivity
     Psi_2(f)(x,y) >= Psi_2^{(1)}(f_y)(x) + Psi_2^{(2)}(f^x)(y)
     on random fields, at the first 50 sampled vertices. Each factor's bound
-    is re-verified first, at every vertex of the factor.
+    is re-verified first, at every vertex of the factor. The checks are
+    cd_upsilon_check's, each factor's vertices decided in one batch and the
+    sampled product vertices in another (vertices of one two-ball shape
+    descend together).
     """
     for chain, kap in ((chain1, kappa1), (chain2, kappa2)):
-        for x in range(chain.n):
-            if not cd_upsilon_check(chain, kap, x, opts).holds:
+        for x, res in enumerate(_vertex_checks(chain, kap, range(chain.n), opts)):
+            if not _solved(res).holds:
                 raise PrerequisiteFailed(
                     f"factor fails its own bound {kap} at vertex {x}"
                 )
@@ -113,8 +116,9 @@ def tensor_curvature_check(
     results = []
     worst = np.inf
     all_hold = True
-    for v in vertices_sample:
-        res = cd_upsilon_check(prod.chain, kappa, int(v), opts)
+    checks = _vertex_checks(prod.chain, kappa, [int(v) for v in vertices_sample], opts)
+    for v, res in zip(vertices_sample, checks):
+        res = _solved(res)
         results.append((int(v), res.holds, res.worst_slack))
         worst = min(worst, res.worst_slack)
         all_hold = all_hold and res.holds

@@ -33,6 +33,19 @@ def random_reversible_chain(rng, n=None, p_edge=0.6, unweighted=False) -> Markov
     return chain_from_rates([str(i) for i in range(n)], table, measure=measure)
 
 
+def random_tree(rng, n: int) -> MarkovChain:
+    """Random recursive tree with reversible random weights (the recipe of
+    the benchmark's tree_report chains)."""
+    pi = rng.uniform(0.5, 2.0, size=n)
+    table = {}
+    for i in range(1, n):
+        j = int(rng.integers(0, i))
+        k = float(rng.uniform(0.3, 3.0))
+        table[(j, i)] = k
+        table[(i, j)] = k * pi[j] / pi[i]
+    return chain_from_rates([str(i) for i in range(n)], table, measure=list(pi))
+
+
 def random_unweighted_graph_chain(rng, n=None) -> MarkovChain:
     return random_reversible_chain(rng, n=n, unweighted=True)
 

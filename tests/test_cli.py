@@ -127,7 +127,8 @@ class TestCurvature:
         doc = json.loads((tmp_path / "k2.curvature.json").read_text())
         assert doc["seed"] == 0
         assert doc["opts"] == {
-            "starts": 64, "amplitude": 40.0, "minus_inf_threshold": -1e6
+            "starts": 64, "bound": 80.0, "maxiter": 400, "amplitude": 40.0,
+            "minus_inf_threshold": -1e6,
         }
 
     def test_byte_identical_reruns(self, tmp_path):

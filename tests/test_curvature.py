@@ -15,7 +15,7 @@ from upsilon_cd.errors import (
     NotAStar,
 )
 
-from conftest import random_reversible_chain
+from conftest import random_reversible_chain, random_tree
 
 FAST = cv.CurvatureOptions(starts=24, maxiter=200)
 
@@ -839,3 +839,72 @@ class TestReport:
         r1 = cv.chain_curvature_report(chain, FAST)
         r2 = cv.chain_curvature_report(chain, FAST)
         assert json.dumps(r1.to_json_dict()) == json.dumps(r2.to_json_dict())
+
+
+def _assert_report_matches_vertices(chain, report, opts):
+    """Every report row against cd_upsilon_kappa at its vertex: the same
+    -inf set, kappa within 1e-12 max(1, |kappa|) and never higher, and
+    bit-identical at one-variable vertices (leaves), whose kernel sums have
+    one term whatever the rows beside them."""
+    for rec in report.per_vertex:
+        x = rec["vertex"]
+        est = cv.cd_upsilon_kappa(chain, x, opts)
+        got = rec["kappa_upsilon"]
+        assert math.isinf(got) == est.minus_infinity, x
+        if est.minus_infinity:
+            assert got == -math.inf
+            continue
+        assert got <= est.kappa, (x, got, est.kappa)
+        assert est.kappa - got <= 1e-12 * max(1.0, abs(est.kappa)), (x, got, est.kappa)
+        if cv.VertexProblem(chain, x).dim == 1:
+            assert got == est.kappa, x
+            np.testing.assert_array_equal(rec["witness"], est.witness)
+
+
+class TestBatchedReport:
+    @pytest.mark.parametrize(
+        "case", ["tree100", "hypercube3", "weighted_4cycle", "lattice2d", "branched_tree5"]
+    )
+    def test_report_agrees_with_per_vertex_solves(self, case):
+        chain, opts = {
+            "tree100": lambda: (
+                random_tree(np.random.default_rng([78, 0]), 100), cv.CurvatureOptions(starts=16)
+            ),
+            "hypercube3": lambda: (ch.hypercube(3), FAST),
+            "weighted_4cycle": lambda: (ch.weighted_4cycle(0.7, 1.9, 1.3, 0.4), FAST),
+            "lattice2d": lambda: (
+                ch.lattice_window(2, {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 0.5, (0, -1): 0.5}, 2),
+                FAST,
+            ),
+            "branched_tree5": lambda: (branched_tree5(), FAST),
+        }[case]()
+        _assert_report_matches_vertices(chain, cv.chain_curvature_report(chain, opts), opts)
+
+    def test_one_lockstep_per_group_chunk(self, monkeypatch):
+        # the six vertices of C6 share one two-ball shape: one lockstep for
+        # the group, or one per chunk of two once the cap holds two vertices
+        chain = ch.cycle(6)
+        prob = cv.VertexProblem(chain, 0)
+        rows = cv._start_count(prob, FAST)
+        calls = []
+        lockstep = cv._lockstep
+
+        def counted(fun, z, *args):
+            calls.append(len(z))
+            return lockstep(fun, z, *args)
+
+        monkeypatch.setattr(cv, "_lockstep", counted)
+        whole = cv.chain_curvature_report(chain, FAST)
+        assert calls == [6 * rows]
+        calls.clear()
+        monkeypatch.setattr(cv, "_GROUP_ELEMENTS", 2 * rows * (prob._n_red + prob.dim**2))
+        chunked = cv.chain_curvature_report(chain, FAST)
+        assert calls == [2 * rows] * 3
+        _assert_report_matches_vertices(chain, chunked, FAST)
+        assert json.dumps(chunked.to_json_dict()) == json.dumps(whole.to_json_dict())
+
+    def test_report_records_bound_and_maxiter(self):
+        opts = cv.CurvatureOptions(starts=8, bound=60.0, maxiter=50)
+        doc = cv.chain_curvature_report(ch.complete(3), opts).to_json_dict()
+        assert doc["opts"]["bound"] == 60.0
+        assert doc["opts"]["maxiter"] == 50

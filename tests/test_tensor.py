@@ -136,6 +136,37 @@ class TestTensorCurvature:
         assert rep.kappa == 2.0
         assert rep.all_hold
 
+    @pytest.mark.parametrize("second", ["K2", "weighted_4cycle"])
+    def test_batched_verdicts_match_per_vertex_checks(self, second):
+        c1 = ch.two_point(1.3, 0.7)
+        c2 = ch.two_point(0.9, 1.6) if second == "K2" else ch.weighted_4cycle(0.7, 1.9, 1.3, 0.4)
+        k1, k2 = (
+            min(cv.cd_upsilon_kappa(c, x, FAST).kappa for x in range(c.n)) - 1e-5
+            for c in (c1, c2)
+        )
+        rep = tn.tensor_curvature_check(c1, k1, c2, k2, opts=FAST)
+        prod = tn.product(c1, c2).chain
+        singles = [cv.cd_upsilon_check(prod, rep.kappa, x, FAST) for x in range(prod.n)]
+        assert [(v, holds) for v, holds, _ in rep.per_vertex] == [
+            (x, res.holds) for x, res in enumerate(singles)
+        ]
+        for (_, _, slack), res in zip(rep.per_vertex, singles):
+            assert slack == pytest.approx(res.worst_slack, rel=1e-9, abs=1e-12)
+
+    def test_prerequisite_failure_names_the_first_failing_vertex(self):
+        # the 4-cycle's vertex constants differ and the lowest two sit at
+        # vertices 2 and 3; above them the first failing vertex is the one a
+        # per-vertex loop meets first
+        c2 = ch.weighted_4cycle(1.9, 0.7, 0.4, 1.3)
+        ks = sorted(cv.cd_upsilon_kappa(c2, x, FAST).kappa for x in range(c2.n))
+        kappa2 = 0.5 * (ks[1] + ks[2])
+        first = next(
+            x for x in range(c2.n) if not cv.cd_upsilon_check(c2, kappa2, x, FAST).holds
+        )
+        assert first == 2
+        with pytest.raises(PrerequisiteFailed, match=f"at vertex {first}$"):
+            tn.tensor_curvature_check(ch.complete(2), 2.0, c2, kappa2, opts=FAST)
+
     def test_prerequisite_failure(self):
         with pytest.raises(PrerequisiteFailed):
             tn.tensor_curvature_check(

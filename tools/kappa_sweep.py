@@ -1,5 +1,5 @@
-"""Sweep of cd_upsilon_kappa over 469 fixed vertices, and a comparison of two
-sweeps.
+"""Sweep of the exponential constant over 469 fixed vertices, and a
+comparison of two sweeps.
 
     python3 tools/kappa_sweep.py run --out new.json [--src OTHER/src]
     python3 tools/kappa_sweep.py compare old.json new.json
@@ -18,6 +18,10 @@ counts. The pool:
   and under starts=24, maxiter=200, seed=5;
 - every vertex of three perfbench random_tree(default_rng([78, i]), 100) at
   16 starts.
+
+The entries that take every vertex of a chain (the 4-cycle, the birth-death
+chain, the star and the trees) are solved by one chain_curvature_report, the
+others by cd_upsilon_kappa per vertex, so a comparison covers both paths.
 
 ``compare`` prints the vertices whose kappa moved: higher by more than
 1e-12 max(1, |kappa|), lower, or a changed -inf, with each new witness's
@@ -52,7 +56,8 @@ def _import_library(src: Path):
 
 
 def _pool(np, chains, curvature, random_reversible_chain, random_tree):
-    """(label, chain, vertices, options) entries of the sweep."""
+    """(label, chain, vertices, options) entries of the sweep; vertices is
+    None for an entry that takes every vertex through one report."""
     opts = curvature.CurvatureOptions
     pool = [(f"K{n}", chains.complete(n), [0], opts()) for n in range(3, 9)]
     pool += [(f"H{n}", chains.hypercube(n), [0], opts()) for n in (2, 3, 4)]
@@ -62,7 +67,7 @@ def _pool(np, chains, curvature, random_reversible_chain, random_tree):
         ("bd12", chains.birth_death(lambda x: 12.0 - x, lambda x: float(x), 12)),
         ("star3", chains.star([1.0] * 3, [1.0] * 3)),
     ):
-        pool.append((label, chain, list(range(chain.n)), opts()))
+        pool.append((label, chain, None, opts()))
     for i in range(12):
         rng = np.random.default_rng([77, i])
         chain = random_reversible_chain(rng, int(rng.integers(5, 9)))
@@ -71,8 +76,21 @@ def _pool(np, chains, curvature, random_reversible_chain, random_tree):
         pool.append((f"rc{i}/fast5", chain, xs, opts(starts=24, maxiter=200, seed=5)))
     for i in range(3):
         chain = random_tree(np.random.default_rng([78, i]), 100)
-        pool.append((f"tree{i}", chain, list(range(chain.n)), opts(starts=16)))
+        pool.append((f"tree{i}", chain, None, opts(starts=16)))
     return pool
+
+
+def _solve(curvature, chain, xs, opts):
+    """(vertex, kappa, witness, diagnostics) of each vertex of the entry."""
+    if xs is None:
+        report = curvature.chain_curvature_report(chain, opts)
+        return [(r["vertex"], r["kappa_upsilon"], r["witness"], r["diagnostics"])
+                for r in report.per_vertex]
+    out = []
+    for x in xs:
+        est = curvature.cd_upsilon_kappa(chain, x, opts)
+        out.append((x, est.kappa, est.witness, est.diagnostics))
+    return out
 
 
 def run(args) -> int:
@@ -80,15 +98,13 @@ def run(args) -> int:
     records = []
     t0 = time.perf_counter()
     for label, chain, xs, opts in _pool(np, chains, curvature, rrc, rtree):
-        for x in xs:
-            est = curvature.cd_upsilon_kappa(chain, x, opts)
-            k = est.kappa
+        for x, k, witness, diag in _solve(curvature, chain, xs, opts):
             records.append({
                 "label": label,
                 "vertex": x,
                 "kappa": k if math.isfinite(k) else str(k),
-                "witness": [float(v) for v in est.witness],
-                "counts": {c: est.diagnostics[c] for c in COUNTS if c in est.diagnostics},
+                "witness": [float(v) for v in witness],
+                "counts": {c: diag[c] for c in COUNTS if c in diag},
             })
     doc = {"src": str(Path(args.src).resolve()), "seconds": time.perf_counter() - t0,
            "records": records}
