@@ -123,7 +123,9 @@ class VertexProblem:
     leading problem axis, of length 1 for one vertex. ``stack`` joins
     problems with equal ``_shape_key`` into one whose kernel evaluates each
     row for the problem given by a per-row index (see _objective), over the
-    structural arrays of the first.
+    structural arrays of the first. The rows of one problem come in runs,
+    and each run's rate-weighted sums are the matrix-vector products a lone
+    problem's call makes (_weighted).
 
     The inner minimum over a private z: its edge term T(d) has
     T'(d) = e^{a(u_y + d)} (e^{(1-a) d} - e^{u_y}), so T falls, then rises,
@@ -235,6 +237,15 @@ class VertexProblem:
             return self.c[0], self.coef[0], self.m1x[0], self._priv_coef[0]
         return self.c[k], self.coef[k], self.m1x[k], self._priv_coef[k]
 
+    def _runs(self, k):
+        """(problem, first row, end row) of each run of equal k, or None
+        where every row has the only problem (as in _rates)."""
+        if k is None or len(self.m1x) == 1:
+            return None
+        cut = np.flatnonzero(k[1:] != k[:-1]) + 1
+        lo, hi = np.concatenate([[0], cut]), np.concatenate([cut, [len(k)]])
+        return list(zip(k[lo].tolist(), lo.tolist(), hi.tolist()))
+
     def _tree_like(self) -> bool:
         """No edge inside S1 and no shared S2 vertex: no triangle or 4-cycle
         passes through x, the two-ball condition of the witness family."""
@@ -263,38 +274,40 @@ class VertexProblem:
         ``z.shape[-1]`` decides raw versus reduced (see _edges); the
         reduced form takes each private edge at its exact inner minimum.
         ``k`` (shape ``z.shape[:-1]``) is each row's problem in a stack
-        (_rates). The rate-weighted sums are one dot product per row
-        (np.vecdot), so a row's value does not depend on the rows beside it.
+        (_rates); each run of one problem's rows is summed as that problem
+        alone sums the same rows (_weighted).
         With ``grad`` also returns dPsi/du and d(2 Psi_2)/dz; with ``hess``
         also the Hessian d^2(2 Psi_2)/dz^2 over the last two axes.
         """
         z = np.asarray(z, dtype=float)
         c, coef, m1x, priv_coef = self._rates(k)
+        runs = self._runs(k)
         u = z[..., : self.m1]
         diff, n = self._edges(z.shape[-1])
         d = z @ diff
         src, coef = self.src[:n], coef[..., :n]
         upv = ups_prime(u)
         upv_src = upv[..., src]
-        lf = np.vecdot(u, c)
-        psi = np.vecdot(ups(u), c)
-        s = np.vecdot(upv, c)
+        lf = _weighted(u, self.c, runs)
+        psi = _weighted(ups(u), self.c, runs)
+        s = _weighted(upv, self.c, runs)
         edge = ups(d) - upv_src * d
         eu = np.exp(u)
         eu_src = eu[..., src]
         if self.a:
             ru, rd = self._r(u), self._r(d)
-            lf = lf + np.vecdot(ru, c)
-            psi = psi - np.vecdot(ru, c)
+            r_sum = _weighted(ru, self.c, runs)
+            lf = lf + r_sum
+            psi = psi - r_sum
             eau = np.exp(self.a * u)
             eau_src = eau[..., src]
             edge = eau_src * (edge - eu_src * rd)
-        two_psi2 = np.vecdot(edge, coef) + s * lf - m1x * psi
+        two_psi2 = _weighted(edge, self.coef[:, :n], runs) + s * lf - m1x * psi
         reduced = n < len(self.src)
         if reduced:
             rows = self._priv_rows
             priv = self._private_min(u[..., rows], 2 if hess else int(grad))
-            two_psi2 = two_psi2 + np.vecdot(priv[0], priv_coef)
+            two_psi2 = two_psi2 + _weighted(priv[0], self._priv_coef, runs)
         if not (grad or hess):
             return lf, psi, two_psi2
         m1x = m1x[..., None]
@@ -533,32 +546,26 @@ class VertexProblem:
         return float(val), grad
 
     def _limit_direction(self, inv_d: float = 0.0):
-        """The small-field limit of the ratio, per problem: (kappa_0, v),
-        arrays over the leading problem axis.
+        """The small-field limit of the ratio: (kappa_0, v).
 
         Along z = eps v the ratio tends, as eps -> 0, to v^T N v / v^T P v,
         N and P the Hessians at 0 of its numerator and of 2 Psi (both vanish
-        to second order there). P = diag(2 (1 - a) c) lives on S1 and N's
-        shared-S2 block is diagonal and positive, so shared S2 is eliminated
-        exactly and the infimum over v is the least eigenvalue kappa_0 of a
-        generalized symmetric problem, solved as the standard one
-        P^{-1/2} N P^{-1/2}; at p = 1 and inv_d = 0 this is Bakry-Emery's
+        to second order there). P lives on S1 and N's shared-S2 block is
+        diagonal and positive, so shared S2 is eliminated exactly and the
+        infimum over v is the least eigenvalue kappa_0 of a generalized
+        symmetric problem; at p = 1 and inv_d = 0 this is Bakry-Emery's
         Gamma_2/Gamma (bakry_emery_kappa). v minimises it, with max |v| = 1.
+        A problem of one vertex only (not a stack).
         """
-        m1, c = self.m1, self.c
-        n_prob = len(c)
-        h = self._objective(np.zeros((n_prob, self.dim)), hess=True, k=np.arange(n_prob))[5]
-        huu, huw, hww = h[:, :m1, :m1], h[:, :m1, m1:], h[:, m1:, m1:]
-        huu = huu - 4.0 * inv_d * c[:, :, None] * c[:, None, :]  # dLf/du = c at 0
-        if self.m2:
-            elim = np.linalg.solve(hww, np.swapaxes(huw, 1, 2))  # (problem, m2, m1)
-            huu = huu - huw @ elim
-        scale = 1.0 / np.sqrt(2.0 * (1.0 - self.a) * c)
-        vals, vecs = np.linalg.eigh(scale[:, :, None] * huu * scale[:, None, :])
-        v = vecs[:, :, 0] * scale
-        if self.m2:
-            v = np.concatenate([v, -np.einsum("kij,kj->ki", elim, v)], axis=1)
-        return vals[:, 0], v / np.abs(v).max(axis=1, keepdims=True)
+        m1, c = self.m1, self.c[0]
+        h = self._objective(np.zeros(self.dim), hess=True)[5]
+        huu, huw, hww = h[:m1, :m1], h[:m1, m1:], h[m1:, m1:]
+        huu = huu - 4.0 * inv_d * np.outer(c, c)  # dLf/du = c at 0
+        schur = huu - huw @ np.linalg.solve(hww, huw.T) if self.m2 else huu
+        vals, vecs = scipy.linalg.eigh(schur, np.diag(2.0 * (1.0 - self.a) * c))
+        u = vecs[:, 0]
+        v = np.concatenate([u, -np.linalg.solve(hww, huw.T @ u)]) if self.m2 else u
+        return float(vals[0]), v / np.abs(v).max()
 
     # -- embedding back into a full field ---------------------------------------
 
@@ -582,6 +589,21 @@ class VertexProblem:
     def probe_points(self, taus) -> list:
         """Divergence-family patterns: one descending neighbour, the rest rising."""
         return [self.family_point(i, t) for i in range(self.m1) for t in taus]
+
+
+def _weighted(x: np.ndarray, w: np.ndarray, runs) -> np.ndarray:
+    """x @ w[j] over the last axis, w[j] the rates of each row's problem j:
+    x @ w[0] for a single problem (runs None), else one matrix-vector
+    product per run (VertexProblem._runs). BLAS rounds a row of a
+    matrix-vector product according to its place among the rows of the
+    call, so a run's rows are summed as a call of that problem alone over
+    the same rows sums them."""
+    if runs is None:
+        return x @ w[0]
+    out = np.empty(x.shape[:-1])
+    for j, lo, hi in runs:
+        out[lo:hi] = x[lo:hi] @ w[j]
+    return out
 
 
 def _ups_terms(r: np.ndarray) -> np.ndarray:
@@ -666,12 +688,6 @@ class CheckResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _start_count(prob: VertexProblem, opts: CurvatureOptions) -> int:
-    """len(_start_points(prob, opts, rng)): the fixed starts, topped up with
-    random ones to ``opts.starts``."""
-    return max(opts.starts, 8 + 2 * prob.dim + len(_PROBE_TAUS) * prob.m1)
-
-
 def _start_points(prob: VertexProblem, opts: CurvatureOptions, rng) -> list:
     amp = min(_AMPLITUDE, opts.bound)
     pts = []
@@ -713,13 +729,10 @@ _EIG_FLOOR = 1e-10
 # whose ratio is not below theirs stops there.
 _LIMIT_SCALE = 1e-7
 _LIMIT_RADIUS = 1e-3
-# Rows times (second-step edges + dim^2) per kernel call of the line search:
-# bounds each temporary of the call at a few MB on large two-balls.
+# Rows times (explicit edges + dim^2) per kernel call of the line search,
+# and per lockstep (_solve): bounds each temporary of a call, and the rows'
+# state (z, gradients, Hessians), at a few MB on large two-balls.
 _BLOCK_ELEMENTS = 2**18
-# Starts times (second-step edges + dim^2) of one lockstep (_solve): same-
-# shape vertices descend together in chunks this size, so the rows' state
-# (z, gradients, Hessians) stays at a few MB.
-_GROUP_ELEMENTS = 2**18
 # How a start ended (_ACTIVE while it still descends in lockstep).
 _ACTIVE, _CONVERGED, _HANDOFF, _FAIL = range(4)
 
@@ -749,12 +762,28 @@ def _usable(f, g, h) -> np.ndarray:
     return (np.isfinite(f) & finite) | (f == -np.inf)
 
 
+def _block(prob: VertexProblem) -> int:
+    """Rows per kernel call of the reduced kernel of ``prob``'s shape."""
+    return max(1, _BLOCK_ELEMENTS // (prob._n_red + prob.dim**2))
+
+
 def _in_blocks(batch_fun, z, k, block: int):
     """batch_fun(z, k) over the rows of z and their problems k, at most
-    ``block`` rows per call."""
+    ``block`` rows per call. Each run of one problem's rows is cut every
+    ``block`` rows from its start, where a call of that problem alone cuts
+    it, and calls take whole pieces (see _weighted)."""
     if len(z) <= block:
         return batch_fun(z, k)
-    parts = [batch_fun(z[i : i + block], k[i : i + block]) for i in range(0, len(z), block)]
+    first = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]]))
+    ends = np.append(first[1:], len(z))
+    cuts = np.concatenate([np.arange(lo, hi, block) for lo, hi in zip(first, ends)])
+    calls, lo = [], 0
+    for a, b in zip(cuts, np.append(cuts[1:], len(z))):
+        if b - lo > block:
+            calls.append((lo, a))
+            lo = a
+    calls.append((lo, len(z)))
+    parts = [batch_fun(z[a:b], k[a:b]) for a, b in calls]
     if isinstance(parts[0], np.ndarray):
         return np.concatenate(parts)
     return tuple(np.concatenate(out) for out in zip(*parts))
@@ -888,17 +917,16 @@ def _lockstep(fun, z, prob_of, opts: CurvatureOptions, block: int, limit):
     return z, f, status
 
 
-def _multistart(probs: list, inv_d: float, opts: CurvatureOptions) -> list:
+def _multistart(probs: list, starts: list, inv_d: float, opts: CurvatureOptions) -> list:
     """Minimize the ratio (2 Psi_2 - 2 inv_d (Lf)^2)/(2 Psi) of each problem
-    of ``probs`` (equal _shape_key) from every one of its starts; returns,
-    per problem, (best_z, best_val, diagnostics) or the NonConvergence to
-    raise for it.
+    of ``probs`` (equal _shape_key) from every one of its ``starts`` (the
+    same number each); returns, per problem, (best_z, best_val,
+    diagnostics) or the NonConvergence to raise for it.
 
-    The random starts draw from the (seed, x) generator, so a vertex gets
-    the same starts wherever it is solved. The starts of every problem
-    descend in one lockstep (_lockstep) over the problems' stack; each
-    handed-off row is finished by one L-BFGS-B descent on its own problem
-    from where it stopped, the only other descent. The small-field limit
+    The starts of every problem descend in one lockstep (_lockstep) over
+    the problems' stack; each handed-off row is finished by one L-BFGS-B
+    descent on its own problem from where it stopped, the only other
+    descent. The small-field limit
     (VertexProblem._limit_direction) adds two candidates per problem,
     +-_LIMIT_SCALE v: where the infimum is only approached as f -> 0 they
     hold it (to O(_LIMIT_SCALE^2)), and rows that reach the limit stop
@@ -908,21 +936,17 @@ def _multistart(probs: list, inv_d: float, opts: CurvatureOptions) -> list:
     they sum to ``n_starts``.
     """
     stack = VertexProblem.stack(probs)
-    starts = [
-        _start_points(q, opts, np.random.default_rng((opts.seed, q.x))) for q in probs
-    ]
     n_starts, ids = len(starts[0]), np.arange(len(probs))
-    block = max(1, _BLOCK_ELEMENTS // (len(stack.src) + stack.dim**2))
 
     def fun(zz, kk, order):
         return stack._ratio(zz, inv_d, order, kk)
 
-    v = stack._limit_direction(inv_d)[1]
+    v = np.array([q._limit_direction(inv_d)[1] for q in probs])
     zl = _LIMIT_SCALE * np.stack([v, -v], axis=1)
     fl = fun(zl.reshape(-1, stack.dim), np.repeat(ids, 2), 0).reshape(len(probs), 2)
     row_prob = np.repeat(ids, n_starts)
     z, f, status = _lockstep(
-        fun, np.concatenate(starts), row_prob, opts, block, fl.min(axis=1)[row_prob]
+        fun, np.concatenate(starts), row_prob, opts, _block(stack), fl.min(axis=1)[row_prob]
     )
     out = []
     for j, q in enumerate(probs):
@@ -952,18 +976,24 @@ def _multistart(probs: list, inv_d: float, opts: CurvatureOptions) -> list:
 def _solve(probs: list, inv_d: float, opts: CurvatureOptions) -> list:
     """_multistart's result for every problem of ``probs``, in order: one
     lockstep per chunk of problems with equal _shape_key, each chunk at
-    most _GROUP_ELEMENTS starts times (second-step edges + dim^2)."""
+    most _block rows of starts (one problem if its starts alone exceed
+    that). A vertex's random starts draw from the (seed, x) generator, so
+    it gets the same starts wherever it is solved."""
     groups: dict = {}
     for i, q in enumerate(probs):
         groups.setdefault(q._shape_key(), []).append(i)
     out = [None] * len(probs)
     for idx in groups.values():
-        q = probs[idx[0]]
-        chunk = max(1, _GROUP_ELEMENTS // (_start_count(q, opts) * (q._n_red + q.dim**2)))
+        starts = [
+            _start_points(probs[i], opts, np.random.default_rng((opts.seed, probs[i].x)))
+            for i in idx
+        ]
+        chunk = max(1, _block(probs[idx[0]]) // len(starts[0]))
         for lo in range(0, len(idx), chunk):
             part = idx[lo : lo + chunk]
-            for i, res in zip(part, _multistart([probs[i] for i in part], inv_d, opts)):
-                out[i] = res
+            res = _multistart([probs[i] for i in part], starts[lo : lo + chunk], inv_d, opts)
+            for i, r in zip(part, res):
+                out[i] = r
     return out
 
 
@@ -990,7 +1020,7 @@ def cd_upsilon_kappa(
     cert = _certificate(prob)
     if cert is not None:
         return _certified_estimate(x, cert)
-    z, val, diag = _solved(_multistart([prob], 0.0, opts)[0])
+    z, val, diag = _solved(_solve([prob], 0.0, opts)[0])
     return VertexEstimate(x, val, prob.field_from(z), diag)
 
 

@@ -885,7 +885,7 @@ class TestBatchedReport:
         # the group, or one per chunk of two once the cap holds two vertices
         chain = ch.cycle(6)
         prob = cv.VertexProblem(chain, 0)
-        rows = cv._start_count(prob, FAST)
+        rows = len(cv._start_points(prob, FAST, np.random.default_rng(0)))
         calls = []
         lockstep = cv._lockstep
 
@@ -897,11 +897,25 @@ class TestBatchedReport:
         whole = cv.chain_curvature_report(chain, FAST)
         assert calls == [6 * rows]
         calls.clear()
-        monkeypatch.setattr(cv, "_GROUP_ELEMENTS", 2 * rows * (prob._n_red + prob.dim**2))
+        monkeypatch.setattr(cv, "_BLOCK_ELEMENTS", 2 * rows * (prob._n_red + prob.dim**2))
         chunked = cv.chain_curvature_report(chain, FAST)
         assert calls == [2 * rows] * 3
         _assert_report_matches_vertices(chain, chunked, FAST)
         assert json.dumps(chunked.to_json_dict()) == json.dumps(whole.to_json_dict())
+
+    def test_blocks_cut_each_problem_where_it_alone_is_cut(self):
+        # problem 0's five rows are cut at 4 as in a call of problem 0 alone;
+        # whole pieces of problems 0 and 1 share the second call
+        k = np.array([0] * 5 + [1] * 2 + [2] * 3)
+        calls = []
+
+        def fun(zz, kk):
+            calls.append(kk.tolist())
+            return zz[:, 0]
+
+        z = np.arange(10.0)[:, None]
+        np.testing.assert_array_equal(cv._in_blocks(fun, z, k, 4), z[:, 0])
+        assert calls == [[0, 0, 0, 0], [0, 1, 1], [2, 2, 2]]
 
     def test_report_records_bound_and_maxiter(self):
         opts = cv.CurvatureOptions(starts=8, bound=60.0, maxiter=50)
