@@ -920,8 +920,8 @@ def _lockstep(fun, z, prob_of, opts: CurvatureOptions, block: int, limit):
 def _multistart(probs: list, starts: list, inv_d: float, opts: CurvatureOptions) -> list:
     """Minimize the ratio (2 Psi_2 - 2 inv_d (Lf)^2)/(2 Psi) of each problem
     of ``probs`` (equal _shape_key) from every one of its ``starts`` (the
-    same number each); returns, per problem, (best_z, best_val,
-    diagnostics) or the NonConvergence to raise for it.
+    same number each); returns, per problem, a VertexEstimate or the
+    NonConvergence to raise for it.
 
     The starts of every problem descend in one lockstep (_lockstep) over
     the problems' stack; each handed-off row is finished by one L-BFGS-B
@@ -969,7 +969,8 @@ def _multistart(probs: list, starts: list, inv_d: float, opts: CurvatureOptions)
         zc, fc = np.vstack([zj[finite], zl[j]]), np.concatenate([fj[finite], fl[j]])
         best = int(np.argmin(fc))
         best_val = float(fc[best])
-        out.append((zc[best].copy(), best_val, dict(diag, best_val=best_val)))
+        out.append(VertexEstimate(q.x, best_val, q.field_from(zc[best]),
+                                  dict(diag, best_val=best_val)))
     return out
 
 
@@ -997,38 +998,47 @@ def _solve(probs: list, inv_d: float, opts: CurvatureOptions) -> list:
     return out
 
 
-def _solved(res):
-    """A _multistart result, raising its NonConvergence."""
-    if isinstance(res, NonConvergence):
-        raise res
-    return res
+def _estimates(probs: list, inv_d: float, opts: CurvatureOptions) -> list:
+    """Estimate inf (2 Psi_2 - 2 inv_d (Lf)^2)/(2 Psi) at each problem of
+    ``probs``: a VertexEstimate per problem, in order, or the
+    NonConvergence to raise for it. The constant, the report and every
+    check read these estimates.
+
+    At p = 1 the divergence certificate comes first, at any inv_d (the
+    -inv_d (Lf)^2 term only lowers the ratio): a certified problem is -inf,
+    with ``divergent_via`` in its diagnostics. The others are the lowest
+    ratio the descent reached (_solve), however low: the ratio is
+    homogeneous of degree 1 in the rates, so no fixed level separates a
+    large finite value from -inf.
+    """
+    out, todo = [None] * len(probs), []
+    for i, q in enumerate(probs):
+        cert = None if q.a else _certificate(q)
+        if cert is None:
+            todo.append(i)
+        else:
+            tau_star, y1, witness = cert
+            out[i] = VertexEstimate(q.x, -math.inf, witness,
+                                    {"divergent_via": int(y1), "tau_at_threshold": tau_star})
+    for i, est in zip(todo, _solve([probs[i] for i in todo], inv_d, opts)):
+        out[i] = est
+    return out
+
+
+def _solved(est):
+    """An estimate (_estimates), raising its NonConvergence."""
+    if isinstance(est, NonConvergence):
+        raise est
+    return est
 
 
 def cd_upsilon_kappa(
     chain: MarkovChain, x: int, opts: CurvatureOptions = DEFAULT_OPTIONS
 ) -> VertexEstimate:
-    """Estimate the optimal exponential-calculus constant at x.
-
-    Reports -inf only when the divergence certificate applies, otherwise
-    the lowest ratio the multistart descent (_multistart) reached, with its
-    field as witness, however low (the ratio is homogeneous of degree 1 in
-    the rates, so no fixed level separates a large finite value from -inf).
-    """
-    # Divergence first: the witness family drives the ratio below any bound
-    # (linearly in tau) exactly when the branching condition holds.
-    prob = VertexProblem(chain, x)
-    cert = _certificate(prob)
-    if cert is not None:
-        return _certified_estimate(x, cert)
-    z, val, diag = _solved(_solve([prob], 0.0, opts)[0])
-    return VertexEstimate(x, val, prob.field_from(z), diag)
-
-
-def _certified_estimate(x: int, cert) -> VertexEstimate:
-    tau_star, y1, witness = cert
-    return VertexEstimate(
-        x, float("-inf"), witness, {"divergent_via": int(y1), "tau_at_threshold": tau_star}
-    )
+    """Estimate the optimal exponential-calculus constant at x: -inf only
+    where the divergence certificate applies, otherwise the lowest ratio
+    found, with its field as witness (_estimates)."""
+    return _solved(_estimates([VertexProblem(chain, x)], 0.0, opts)[0])
 
 
 # Rounding error of an evaluated slack, in machine epsilons per unit of the
@@ -1038,70 +1048,50 @@ _ROUNDING_ULPS = 64
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
-def _checks(probs: list, kappa: float, inv_d: float, opts: CurvatureOptions) -> list:
-    """Decide Psi_2 - kappa Psi - inv_d (Lf)^2 >= 0 at every field of each
-    problem of ``probs``; returns a CheckResult per problem, or the
-    NonConvergence to raise for it.
+def _finite_kappa(*kappas: float) -> None:
+    """A check compares kappa with a finite slack: nan or +-inf is no
+    condition, and would leave _decide halving forever."""
+    for kappa in kappas:
+        if not math.isfinite(kappa):
+            raise InvalidParameter(f"kappa must be finite, got {kappa}")
 
-    The condition holds iff kappa is at most the infimum of its ratio
-    (2 Psi_2 - 2 inv_d (Lf)^2)/(2 Psi), so the check runs the descent that
-    cd_upsilon_kappa runs (_multistart, grouped by _solve) on that ratio;
-    kappa does not enter it. The verdict is the sign of the slack at the
-    ratio's minimiser: ``holds`` iff the slack is >= -tol with tol = 64
-    machine epsilons times the sum of the magnitudes of the slack's terms
-    there (``diagnostics["tol"]``), the rounding error of the slack actually
-    evaluated. A tolerance fixed in units of the squared rate scale would
-    absorb any violation that is small next to the rates, such as that of
-    the Poisson chain at vertices near exp(1/kappa).
 
-    For p near 2 the ratio can overflow to -inf (the private minimum grows
-    like -e^{K u}, see VertexProblem._private_min). Such a minimiser is
-    halved toward 0 until the slack, its rounding bound and e^f are finite;
-    the slack there is still of order -e^{350} or below.
+def _decide(prob: VertexProblem, est, kappa: float, inv_d: float) -> CheckResult:
+    """Decide Psi_2 - kappa Psi - inv_d (Lf)^2 >= 0 at every field of
+    ``prob`` from ``est``, its estimate (_estimates, same inv_d); an
+    estimate that is a NonConvergence is raised. The condition holds iff
+    kappa is at most the ratio's infimum, so kappa never enters the descent.
+
+    The verdict is the sign of the slack at the estimate's minimiser:
+    ``holds`` iff it is >= -tol, tol = 64 machine epsilons times the sum of
+    the magnitudes of its terms there (``diagnostics["tol"]``), the
+    rounding error of the slack evaluated. A tolerance fixed in units of
+    the squared rate scale would absorb any violation small next to the
+    rates, such as the Poisson chain's at vertices near exp(1/kappa). For p
+    near 2 the ratio can overflow to an uncertified -inf (see
+    VertexProblem._private_min): the minimiser is halved toward 0 until the
+    slack, tol and e^f are finite, and the slack is still -e^{350} or below.
+    A certified estimate (``divergent_via``) has no lower bound, so every
+    finite kappa fails, with the family's field at a tau where its
+    asymptote line lies below kappa as counterexample.
     """
-    out = []
-    for prob, res in zip(probs, _solve(probs, inv_d, opts)):
-        if isinstance(res, NonConvergence):
-            out.append(res)
-            continue
-        z, _, diag = res
-        while True:
-            slack = float(prob.check_batch(z, kappa, inv_d))
-            with np.errstate(over="ignore"):
-                magnitude = prob.check_magnitude_batch(z, kappa, inv_d)
-            tol = float(_ROUNDING_ULPS * np.finfo(float).eps * magnitude)
-            if math.isfinite(slack + tol) and prob.field_from(z).max() < _LOG_MAX:
-                break
-            z = 0.5 * z
-        holds = slack >= -tol
-        out.append(
-            CheckResult(holds, slack, None if holds else prob.field_from(z), dict(diag, tol=tol))
-        )
-    return out
-
-
-def _vertex_checks(chain: MarkovChain, kappa: float, vertices, opts: CurvatureOptions,
-                   inv_d: float = 0.0) -> list:
-    """cd_upsilon_dim_check at each of ``vertices`` (inv_d = 1/d): one
-    CheckResult per vertex, in order, or the NonConvergence to raise for it.
-    Certified vertices fail by their certificate; the others are decided by
-    _checks in lockstep groups."""
-    probs = [VertexProblem(chain, x) for x in vertices]
-    certs = [_certificate(q) for q in probs]
-    todo = [i for i, cert in enumerate(certs) if cert is None]
-    out = [None if cert is None else _certified_failure(q, cert[1], kappa)
-           for q, cert in zip(probs, certs)]
-    for i, res in zip(todo, _checks([probs[i] for i in todo], kappa, inv_d, opts)):
-        out[i] = res
-    return out
-
-
-def _certified_failure(prob: VertexProblem, y1: int, kappa: float) -> CheckResult:
-    """Every finite kappa fails at a certified vertex: the counterexample is
-    the family's field at a tau where its asymptote line lies below kappa."""
-    tau = min(-40.0, float(_family_tau(prob.chain, prob.x, y1, kappa)))
-    field = prob.field_from(prob.family_point(int(np.flatnonzero(prob.s1 == y1)[0]), tau))
-    return CheckResult(False, -math.inf, field, {"divergent_via": int(y1), "tau": tau})
+    diag = _solved(est).diagnostics
+    if "divergent_via" in diag:
+        y1 = diag["divergent_via"]
+        tau = min(-40.0, float(_family_tau(prob.chain, prob.x, y1, kappa)))
+        field = prob.field_from(prob.family_point(int(np.flatnonzero(prob.s1 == y1)[0]), tau))
+        return CheckResult(False, -math.inf, field, {"divergent_via": y1, "tau": tau})
+    z = est.witness[prob.ball[: prob.dim]]  # field_from's inverse, exact
+    while True:
+        slack = float(prob.check_batch(z, kappa, inv_d))
+        with np.errstate(over="ignore"):
+            magnitude = prob.check_magnitude_batch(z, kappa, inv_d)
+        tol = float(_ROUNDING_ULPS * np.finfo(float).eps * magnitude)
+        if math.isfinite(slack + tol) and prob.field_from(z).max() < _LOG_MAX:
+            break
+        z = 0.5 * z
+    holds = slack >= -tol
+    return CheckResult(holds, slack, None if holds else prob.field_from(z), dict(diag, tol=tol))
 
 
 def cd_upsilon_check(
@@ -1110,10 +1100,8 @@ def cd_upsilon_check(
     x: int,
     opts: CurvatureOptions = DEFAULT_OPTIONS,
 ) -> CheckResult:
-    """Decide the pointwise inequality Psi_2 >= kappa Psi at x: whether
-    kappa is at most the minimum of Psi_2/Psi that cd_upsilon_kappa's
-    descent finds with the same ``opts``, up to the rounding error of the
-    slack there (see _checks)."""
+    """Decide the pointwise inequality Psi_2 >= kappa Psi at x against the
+    estimate cd_upsilon_kappa reports with the same ``opts`` (_decide)."""
     return cd_upsilon_dim_check(chain, kappa, math.inf, x, opts)
 
 
@@ -1125,15 +1113,14 @@ def cd_upsilon_dim_check(
     opts: CurvatureOptions = DEFAULT_OPTIONS,
 ) -> CheckResult:
     """Finite-dimension variant with the (1/d)(Lf)^2 term; d = inf reduces
-    to the dimensionless check. The verdict is decided as in _checks, except
-    at a vertex that divergence_certificate certifies: there the ratio has
-    no lower bound (the -inv_d (Lf)^2 term only lowers it), so every finite
-    kappa fails, with worst_slack -inf and the family's field at a tau where
-    its asymptote line lies below kappa as counterexample."""
+    to the dimensionless check. Decided by _decide on the estimate of the
+    ratio with that term."""
     if not (d > 0):
         raise InvalidParameter("dimension parameter must be positive")
+    _finite_kappa(kappa)
     inv_d = 0.0 if math.isinf(d) else 1.0 / d
-    return _solved(_vertex_checks(chain, kappa, [x], opts, inv_d)[0])
+    prob = VertexProblem(chain, x)
+    return _decide(prob, _estimates([prob], inv_d, opts)[0], kappa, inv_d)
 
 
 def cd_p_check(
@@ -1146,11 +1133,13 @@ def cd_p_check(
     """Power-entropy condition Psi_2^{(p)} >= kappa/(2-p) Psi^{(p)} at x.
 
     Minimizes over positive fields F = exp(g) on the two-ball's edge list
-    (VertexProblem with p), decided as in _checks; the counterexample is F.
+    (VertexProblem with p), decided by _decide; the counterexample is F.
     """
     if not 1.0 < p < 2.0:
         raise InvalidParameter(f"p must lie in (1,2), got {p}")
-    res = _solved(_checks([VertexProblem(chain, x, p)], kappa / (2.0 - p), 0.0, opts)[0])
+    _finite_kappa(kappa)
+    prob = VertexProblem(chain, x, p)
+    res = _decide(prob, _estimates([prob], 0.0, opts)[0], kappa / (2.0 - p), 0.0)
     if res.counterexample is not None:
         res.counterexample = np.exp(res.counterexample)
     return res
@@ -1210,7 +1199,7 @@ def divergence_certificate(chain: MarkovChain, x: int):
     4-cycle through x). Divergence is certified when margin > 0; returns
     (tau_star, y1, witness), where y1's line reaches _MINUS_INF_THRESHOLD at
     tau_star and no other neighbour's line gets there first, else None. It
-    is the only source of a reported -inf (cd_upsilon_kappa).
+    is the only source of a reported -inf (_estimates).
     """
     return _certificate(VertexProblem(chain, x))
 
@@ -1450,26 +1439,22 @@ def chain_hash(chain: MarkovChain) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _vertex_record(prob: VertexProblem, cert, res) -> dict:
-    """A report row from the vertex's problem, its certificate and, where
-    none applies, its _multistart result."""
+def _vertex_record(prob: VertexProblem, est) -> dict:
+    """A report row from the vertex's problem and its estimate (_estimates)."""
     x, chain = prob.x, prob.chain
     kbe, witness_be = _bakry_emery(prob)
     rec = {"vertex": x, "state": chain.states[x], "kappa_be": kbe, "witness_be": witness_be}
-    if cert is not None:
-        est = _certified_estimate(x, cert)
-        return dict(rec, kappa_upsilon=est.kappa, slack=0.0, witness=est.witness,
-                    diagnostics=est.diagnostics)
-    if isinstance(res, NonConvergence):
+    if isinstance(est, NonConvergence):
         return dict(
             rec, kappa_upsilon=float("nan"), slack=0.0, witness=np.zeros(chain.n),
-            diagnostics=dict(res.diagnostics, nonconverged=True),
+            diagnostics=dict(est.diagnostics, nonconverged=True),
         )
-    z, kappa, diag = res
-    _, psi, two_psi2 = prob._objective(z)
-    slack = float(0.5 * two_psi2 - kappa * psi) if psi > 0 else 0.0
-    return dict(rec, kappa_upsilon=kappa, slack=slack, witness=prob.field_from(z),
-                diagnostics=diag)
+    slack = 0.0
+    if "divergent_via" not in est.diagnostics:
+        _, psi, two_psi2 = prob._objective(est.witness[prob.ball[: prob.dim]])
+        slack = float(0.5 * two_psi2 - est.kappa * psi) if psi > 0 else 0.0
+    return dict(rec, kappa_upsilon=est.kappa, slack=slack, witness=est.witness,
+                diagnostics=est.diagnostics)
 
 
 def chain_curvature_report(
@@ -1477,18 +1462,15 @@ def chain_curvature_report(
 ) -> CurvatureReport:
     """Per-vertex Bakry-Emery and exponential-calculus constants.
 
-    Each vertex's problem is built once. Vertices that the divergence
-    certificate answers are -inf; the others are solved by _solve, one
-    lockstep descent per chunk of vertices with the same two-ball shape,
-    with the answers of cd_upsilon_kappa at each vertex up to the rounding
-    of the batched kernel calls. Results are deterministic because every
-    vertex draws from its own (seed, vertex) generator.
+    Each vertex's problem is built once, and all of them are estimated in
+    one _estimates call: one lockstep descent per chunk of uncertified
+    vertices with the same two-ball shape, with the answers of
+    cd_upsilon_kappa at each vertex up to the rounding of the batched
+    kernel calls. Results are deterministic because every vertex draws
+    from its own (seed, vertex) generator.
     """
     probs = [VertexProblem(chain, x) for x in range(chain.n)]
-    certs = [_certificate(q) for q in probs]
-    todo = [x for x in range(chain.n) if certs[x] is None]
-    solved = dict(zip(todo, _solve([probs[x] for x in todo], 0.0, opts)))
-    records = [_vertex_record(q, cert, solved.get(q.x)) for q, cert in zip(probs, certs)]
+    records = [_vertex_record(q, est) for q, est in zip(probs, _estimates(probs, 0.0, opts))]
     kbe = min(r["kappa_be"] for r in records)
     kus = [r["kappa_upsilon"] for r in records]
     finite = [k for k in kus if not math.isnan(k)]

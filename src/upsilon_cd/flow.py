@@ -431,8 +431,8 @@ def mlsi_check(
     ``details`` the index of the worst sample (random draws first, then
     tilts) and its kind, "random" or "tilt".
     """
-    if alpha <= 0:
-        raise InvalidParameter("alpha must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise InvalidParameter(f"alpha must be positive and finite, got {alpha}")
     return _sampled_check(
         chain,
         n_samples,
@@ -515,8 +515,8 @@ def beckner_check(
 ) -> InequalityReport:
     """Sampled check of H_p(rho) <= I_p(rho)/(2 alpha); samples and
     ``details`` as in ``mlsi_check``."""
-    if alpha <= 0:
-        raise InvalidParameter("alpha must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise InvalidParameter(f"alpha must be positive and finite, got {alpha}")
     return _sampled_check(
         chain,
         n_samples,

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import MarkovChain, chain_from_rates
-from .curvature import CurvatureOptions, DEFAULT_OPTIONS, _solved, _vertex_checks
+from .curvature import (CurvatureOptions, DEFAULT_OPTIONS, VertexProblem, _decide, _estimates,
+                        _finite_kappa)
 from .errors import PrerequisiteFailed, SizeOverflow
 from .operators import _field, psi2_upsilon
 
@@ -93,16 +94,20 @@ def tensor_curvature_check(
     Also checks the splitting superadditivity
     Psi_2(f)(x,y) >= Psi_2^{(1)}(f_y)(x) + Psi_2^{(2)}(f^x)(y)
     on random fields, at the first 50 sampled vertices. Each factor's bound
-    is re-verified first, at every vertex of the factor. The checks are
-    cd_upsilon_check's, each factor's vertices decided in one batch and the
-    sampled product vertices in another (vertices of one two-ball shape
-    descend together).
+    is re-verified first, at every vertex of the factor; the error names
+    the first failing factor and vertex. Every check compares the bound
+    with its vertex's estimate (_decide): one _estimates call for the
+    vertices of both factors and one for the sampled product vertices, so
+    vertices of one two-ball shape descend together.
     """
-    for chain, kap in ((chain1, kappa1), (chain2, kappa2)):
-        for x, res in enumerate(_vertex_checks(chain, kap, range(chain.n), opts)):
-            if not _solved(res).holds:
+    _finite_kappa(kappa1, kappa2)
+    factors = [[VertexProblem(c, x) for x in range(c.n)] for c in (chain1, chain2)]
+    ests = iter(_estimates(factors[0] + factors[1], 0.0, opts))
+    for which, probs, kap in zip(("first", "second"), factors, (kappa1, kappa2)):
+        for q in probs:
+            if not _decide(q, next(ests), kap, 0.0).holds:
                 raise PrerequisiteFailed(
-                    f"factor fails its own bound {kap} at vertex {x}"
+                    f"{which} factor fails its own bound {kap} at vertex {q.x}"
                 )
     prod = product(chain1, chain2)
     kappa = min(kappa1, kappa2)
@@ -116,10 +121,10 @@ def tensor_curvature_check(
     results = []
     worst = np.inf
     all_hold = True
-    checks = _vertex_checks(prod.chain, kappa, [int(v) for v in vertices_sample], opts)
-    for v, res in zip(vertices_sample, checks):
-        res = _solved(res)
-        results.append((int(v), res.holds, res.worst_slack))
+    probs = [VertexProblem(prod.chain, int(v)) for v in vertices_sample]
+    for q, est in zip(probs, _estimates(probs, 0.0, opts)):
+        res = _decide(q, est, kappa, 0.0)
+        results.append((q.x, res.holds, res.worst_slack))
         worst = min(worst, res.worst_slack)
         all_hold = all_hold and res.holds
 

@@ -265,6 +265,22 @@ class TestTensor:
         assert doc["all_hold"] and doc["kappa"] == 2.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["tensor", "--a", "family two_point 1 1", "--b", "family two_point 1 1",
+     "--kappa1", "nan", "--kappa2", "1"],
+    ["tensor", "--a", "family two_point 1 1", "--b", "family two_point 1 1",
+     "--kappa1", "1", "--kappa2", "inf"],
+    ["mlsi", "family", "hypercube", "3", "--alpha", "nan"],
+    ["beckner", "family", "hypercube", "3", "--alpha", "nan", "--p", "1.5"],
+])
+def test_non_finite_kappa_or_alpha_exits_2(argv, capsys):
+    # these hung (tensor) or printed "holds": true and exited 0 (mlsi)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("InvalidParameter: ")
+
+
 class TestUsage:
     def test_missing_command_exits_1(self):
         with pytest.raises(SystemExit) as exc:

@@ -542,6 +542,23 @@ class TestChecks:
         with pytest.raises(InvalidParameter):
             cv.cd_upsilon_dim_check(ch.complete(2), 0.0, -1.0, 0)
 
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("check", ["upsilon", "dim", "p"])
+    def test_non_finite_kappa_is_rejected_before_any_descent(self, check, kappa, monkeypatch):
+        # a non-finite kappa used to leave the slack's halving loop waiting
+        # for a finite value forever
+        def no_descent(*args):
+            raise AssertionError("descended")
+
+        monkeypatch.setattr(cv, "_lockstep", no_descent)
+        call = {
+            "upsilon": lambda: cv.cd_upsilon_check(ch.complete(3), kappa, 0, FAST),
+            "dim": lambda: cv.cd_upsilon_dim_check(ch.complete(3), kappa, 2.0, 0, FAST),
+            "p": lambda: cv.cd_p_check(ch.complete(3), 1.5, kappa, 0, FAST),
+        }[check]
+        with pytest.raises(InvalidParameter, match="kappa must be finite"):
+            call()
+
 
 class TestOracle:
     @pytest.mark.parametrize(
@@ -794,6 +811,8 @@ class TestCdPCheck:
         res = cv.cd_p_check(ch.cycle(5), 1.99, 1.0, 0, cv.CurvatureOptions(starts=24, maxiter=200))
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert res.diagnostics["n_fail"] == 0
+        # decided at the halved minimiser, not as a certified -inf
+        assert "divergent_via" not in res.diagnostics
         assert res.holds is False and math.isfinite(res.worst_slack) and res.worst_slack < 0
         F = res.counterexample
         assert np.all(np.isfinite(F)) and np.all(F > 0)

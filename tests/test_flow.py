@@ -229,6 +229,17 @@ class TestMlsi:
         with pytest.raises(InvalidParameter):
             fl.mlsi_check(ch.complete(3), 0.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_alpha_is_rejected_before_sampling(self, alpha, monkeypatch):
+        # a nan alpha used to make every ratio nan, and nan <= 1 + 1e-9 "held"
+        def no_sampling(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(fl, "_sampled_check", no_sampling)
+        for check, extra in ((fl.mlsi_check, ()), (fl.beckner_check, (1.5,))):
+            with pytest.raises(InvalidParameter, match="alpha must be positive and finite"):
+                check(ch.complete(3), *extra, alpha)
+
 
 class TestGradientBound:
     def test_constant_field(self):

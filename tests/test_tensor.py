@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from upsilon_cd import chains as ch
 from upsilon_cd import curvature as cv
 from upsilon_cd import operators as op
 from upsilon_cd import tensor as tn
-from upsilon_cd.errors import PrerequisiteFailed, SizeOverflow
+from upsilon_cd.errors import InvalidParameter, PrerequisiteFailed, SizeOverflow
 
 from conftest import random_reversible_chain
 
@@ -137,21 +139,67 @@ class TestTensorCurvature:
         assert rep.all_hold
 
     @pytest.mark.parametrize("second", ["K2", "weighted_4cycle"])
-    def test_batched_verdicts_match_per_vertex_checks(self, second):
+    def test_batched_verdicts_match_per_vertex_checks(self, second, monkeypatch):
         c1 = ch.two_point(1.3, 0.7)
         c2 = ch.two_point(0.9, 1.6) if second == "K2" else ch.weighted_4cycle(0.7, 1.9, 1.3, 0.4)
         k1, k2 = (
             min(cv.cd_upsilon_kappa(c, x, FAST).kappa for x in range(c.n)) - 1e-5
             for c in (c1, c2)
         )
+        decided = []
+        decide = tn._decide
+
+        def recorded(*args):
+            decided.append(decide(*args))
+            return decided[-1]
+
+        monkeypatch.setattr(tn, "_decide", recorded)
         rep = tn.tensor_curvature_check(c1, k1, c2, k2, opts=FAST)
         prod = tn.product(c1, c2).chain
         singles = [cv.cd_upsilon_check(prod, rep.kappa, x, FAST) for x in range(prod.n)]
-        assert [(v, holds) for v, holds, _ in rep.per_vertex] == [
-            (x, res.holds) for x, res in enumerate(singles)
+        batched = decided[c1.n + c2.n :]
+        assert [v for v, _, _ in rep.per_vertex] == list(range(prod.n))
+        assert [(holds, slack) for _, holds, slack in rep.per_vertex] == [
+            (res.holds, res.worst_slack) for res in batched
         ]
-        for (_, _, slack), res in zip(rep.per_vertex, singles):
-            assert slack == pytest.approx(res.worst_slack, rel=1e-9, abs=1e-12)
+        # bit for bit: the same slack, counterexample and diagnostics
+        for res, single in zip(batched, singles):
+            assert res.holds == single.holds
+            assert res.worst_slack.hex() == single.worst_slack.hex()
+            assert res.diagnostics == single.diagnostics
+            if single.counterexample is None:
+                assert res.counterexample is None
+            else:
+                np.testing.assert_array_equal(res.counterexample, single.counterexample)
+
+    def test_k2_factors_share_one_lockstep(self, monkeypatch):
+        # both K2 factors have one two-ball shape: their four vertices
+        # descend in one lockstep, the product's four in a second
+        calls = []
+        lockstep = cv._lockstep
+
+        def counted(fun, z, *args):
+            calls.append(len(z))
+            return lockstep(fun, z, *args)
+
+        monkeypatch.setattr(cv, "_lockstep", counted)
+        rep = tn.tensor_curvature_check(
+            ch.complete(2), 2.0 - 1e-6, ch.two_point(1.5, 1.5), 3.0 - 1e-6, opts=FAST
+        )
+        assert rep.all_hold
+        prob = cv.VertexProblem(ch.complete(2), 0)
+        rows = len(cv._start_points(prob, FAST, np.random.default_rng(0)))
+        assert len(calls) == 2 and calls[0] == 4 * rows
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kappa_is_rejected_before_any_descent(self, kappa, monkeypatch):
+        def no_descent(*args):
+            raise AssertionError("descended")
+
+        monkeypatch.setattr(cv, "_lockstep", no_descent)
+        for k1, k2 in ((kappa, 1.0), (1.0, kappa)):
+            with pytest.raises(InvalidParameter, match="kappa must be finite"):
+                tn.tensor_curvature_check(ch.complete(2), k1, ch.complete(2), k2, opts=FAST)
 
     def test_prerequisite_failure_names_the_first_failing_vertex(self):
         # the 4-cycle's vertex constants differ and the lowest two sit at
@@ -168,7 +216,11 @@ class TestTensorCurvature:
             tn.tensor_curvature_check(ch.complete(2), 2.0, c2, kappa2, opts=FAST)
 
     def test_prerequisite_failure(self):
-        with pytest.raises(PrerequisiteFailed):
+        with pytest.raises(PrerequisiteFailed, match="^first factor fails its own bound 5.0"):
             tn.tensor_curvature_check(
                 ch.complete(2), 5.0, ch.complete(2), 2.0, opts=FAST
+            )
+        with pytest.raises(PrerequisiteFailed, match="^second factor fails its own bound 5.0"):
+            tn.tensor_curvature_check(
+                ch.complete(2), 2.0, ch.complete(2), 5.0, opts=FAST
             )

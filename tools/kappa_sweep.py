@@ -25,9 +25,11 @@ others by cd_upsilon_kappa per vertex, so a comparison covers both paths.
 
 ``compare`` prints the vertices whose kappa moved: higher by more than
 1e-12 max(1, |kappa|), lower, or a changed -inf, with each new witness's
-ratio re-evaluated through ``operators`` (Psi_2/Psi at the vertex). It exits
-1 when a kappa is higher or a -inf changed. ``run`` takes 10 to 30 seconds
-on one core.
+ratio re-evaluated through ``operators`` (Psi_2/Psi at the vertex). It also
+counts and lists the vertices whose kappa is equal but whose witness or
+start counts differ, so "records equal bit for bit" reads off its last
+line. It exits 1 when a kappa is higher or a -inf changed. ``run`` takes 10
+to 30 seconds on one core.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def compare(args) -> int:
     old = {(r["label"], r["vertex"]): r for r in json.loads(Path(args.old).read_text())["records"]}
     new = json.loads(Path(args.new).read_text())["records"]
     cache: dict = {}
-    same = up = higher = lower = inf_changed = 0
+    same = up = higher = lower = inf_changed = detail_changed = 0
     handoffs = [0, 0]
     for rec in new:
         key = (rec["label"], rec["vertex"])
@@ -135,6 +137,10 @@ def compare(args) -> int:
         handoffs[0] += ref["counts"].get("n_handoff", 0)
         handoffs[1] += rec["counts"].get("n_handoff", 0)
         a, b = ref["kappa"], rec["kappa"]
+        if a == b and (rec["witness"] != ref["witness"] or rec["counts"] != ref["counts"]):
+            detail_changed += 1
+            moved = [f for f in ("witness", "counts") if rec[f] != ref[f]]
+            print(f"equal kappa, changed {' and '.join(moved)}  {key}")
         if isinstance(a, str) or isinstance(b, str):
             if a != b:
                 inf_changed += 1
@@ -161,7 +167,8 @@ def compare(args) -> int:
               f"new witness {ratio!r}")
     print(f"{len(new)} vertices: {same} unchanged, {up} higher by at most {HIGHER_RTOL:g} "
           f"max(1, |kappa|), {lower} lower, {higher} higher by more, {inf_changed} -inf "
-          f"changed; L-BFGS-B hand-offs {handoffs[0]} -> {handoffs[1]}")
+          f"changed; {detail_changed} with equal kappa but a changed witness or start counts; "
+          f"L-BFGS-B hand-offs {handoffs[0]} -> {handoffs[1]}")
     return 1 if higher or inf_changed else 0
 
 
