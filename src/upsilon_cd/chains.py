@@ -287,7 +287,7 @@ def build_chain(doc: dict) -> MarkovChain:
     return chain_from_rates(states, table, measure)
 
 
-def spec_dict(chain: MarkovChain, include_measure: bool = True) -> dict:
+def spec_dict(chain: MarkovChain) -> dict:
     """Serializable ChainSpec document; doubles round-trip bit-exactly."""
     rates = []
     for x in range(chain.n):
@@ -295,10 +295,7 @@ def spec_dict(chain: MarkovChain, include_measure: bool = True) -> dict:
             rates.append(
                 {"from": chain.states[x], "to": chain.states[int(y)], "rate": float(k)}
             )
-    doc = {"states": list(chain.states), "rates": rates}
-    if include_measure:
-        doc["measure"] = [float(v) for v in chain.pi]
-    return doc
+    return {"states": list(chain.states), "rates": rates, "measure": [float(v) for v in chain.pi]}
 
 
 def dump_spec(chain: MarkovChain, path) -> None:

@@ -25,7 +25,7 @@ from .curvature import (
     CurvatureOptions,
     chain_curvature_report,
 )
-from .errors import NonConvergence, UpsilonCDError
+from .errors import NonConvergence, UpsilonCDError, _finite_kappa
 from .flow import (
     de_bruijn_residual,
     heat_flow,
@@ -164,6 +164,8 @@ def _resolve_rho0(chain: MarkovChain, text: str) -> np.ndarray:
 def cmd_flow(args) -> int:
     chain = _resolve_chain(args.input)
     rho0 = _resolve_rho0(chain, args.rho0)
+    if args.kappa is not None:
+        _finite_kappa(args.kappa)  # before the flow is propagated
     trace = heat_flow(chain, rho0, args.T, args.grid, p=args.p)
     h = float(np.max(np.diff(trace.times)))
     d3 = np.gradient(trace.d2H, trace.times)

@@ -27,6 +27,7 @@ from .errors import (
     MonotonicityViolated,
     NonConvergence,
     NotAStar,
+    _finite_kappa,
 )
 from .kernels import _SERIES_CUT, omega, omega_prime, ups, ups_prime
 
@@ -151,6 +152,10 @@ class VertexProblem:
         self.m1x = self.c.sum(axis=1)
         m1 = len(s1)
         pos1 = {y: i for i, y in enumerate(s1)}
+        # k(y, x) and M1(y) per y in S1: with c and M1(x) they give the
+        # witness family's lines (_family_lines)
+        self._kyx = np.empty(m1)
+        self._m1y = chain.m1[self.s1]
 
         into_x, into_s1 = [], []
         s2_hits: dict[int, list[tuple[int, float]]] = {}
@@ -158,6 +163,7 @@ class VertexProblem:
             for z, kyz in zip(chain.neighbors[y].tolist(), chain.rates[y].tolist()):
                 coef = cy * kyz
                 if z == self.x:
+                    self._kyx[iy] = kyz
                     into_x.append((iy, -1, coef))
                 elif z in pos1:
                     into_s1.append((iy, pos1[z], coef))
@@ -250,6 +256,32 @@ class VertexProblem:
         """No edge inside S1 and no shared S2 vertex: no triangle or 4-cycle
         passes through x, the two-ball condition of the witness family."""
         return not (self.m2 or np.any((self.tgt >= 0) & (self.tgt < self.m1)))
+
+    def _family_lines(self):
+        """(margin, intercept, branching) per neighbour y = s1[i].
+
+        On a tree-like two-ball the ratio along the witness family through
+        y (family_point(i, tau)) approaches the line (margin/2) tau +
+        intercept from above as tau -> -inf, where
+
+            margin    = M1(x) + M1(y) - 2(k(x,y) + k(y,x)),
+            intercept = C / (2 k(x,y)),
+            C         = k(x,y) (M1(y) - k(y,x) - M1(x))
+                        + sum_{y' != y} k(x,y') k(y',x),
+
+        so the line is one unit below a level at tau = (level - 1 -
+        intercept) 2 / margin. ``branching`` marks a margin positive beyond
+        rounding: there the ratio falls to -inf. C sums the other neighbours
+        in S1 order, as a scalar loop over them would.
+        """
+        c, m1x, kyx, m1y = self.c[0], self.m1x[0], self._kyx, self._m1y
+        margin = m1x + m1y - 2.0 * (c + kyx)
+        cross = c * kyx
+        offset = -c * m1x + c * (m1y - kyx)
+        i = np.arange(self.m1)
+        for j in range(self.m1):
+            offset += np.where(i != j, cross[j], 0.0)
+        return margin, offset / (2.0 * c), margin > 1e-12 * (m1x + m1y)
 
     # -- the objective kernel (last axis of z is the variable vector) ----------
 
@@ -645,7 +677,7 @@ def _bakry_emery(prob: VertexProblem):
     q = (a * coef) @ a.T
     quu, quv, qvv = q[:m1, :m1], q[:m1, m1:], np.diag(q)[m1:]
     # -sum_y c_y M1(y) u_y^2 + 2 (Lf)^2 - M1(x) sum c_y u_y^2
-    quu[np.diag_indices(m1)] -= c * chain.m1[prob.s1] + m1x * c
+    quu[np.diag_indices(m1)] -= c * prob._m1y + m1x * c
     quu += 2.0 * np.outer(c, c)
     quu = quu - (quv / qvv) @ quv.T
     b = 2.0 * np.diag(c)
@@ -730,7 +762,7 @@ _EIG_FLOOR = 1e-10
 _LIMIT_SCALE = 1e-7
 _LIMIT_RADIUS = 1e-3
 # Rows times (explicit edges + dim^2) per kernel call of the line search,
-# and per lockstep (_solve): bounds each temporary of a call, and the rows'
+# and per lockstep (_estimates): bounds each temporary of a call, and the rows'
 # state (z, gradients, Hessians), at a few MB on large two-balls.
 _BLOCK_ELEMENTS = 2**18
 # How a start ended (_ACTIVE while it still descends in lockstep).
@@ -974,16 +1006,32 @@ def _multistart(probs: list, starts: list, inv_d: float, opts: CurvatureOptions)
     return out
 
 
-def _solve(probs: list, inv_d: float, opts: CurvatureOptions) -> list:
-    """_multistart's result for every problem of ``probs``, in order: one
-    lockstep per chunk of problems with equal _shape_key, each chunk at
-    most _block rows of starts (one problem if its starts alone exceed
-    that). A vertex's random starts draw from the (seed, x) generator, so
-    it gets the same starts wherever it is solved."""
-    groups: dict = {}
+def _estimates(probs: list, inv_d: float, opts: CurvatureOptions) -> list:
+    """Estimate inf (2 Psi_2 - 2 inv_d (Lf)^2)/(2 Psi) at each problem of
+    ``probs``: a VertexEstimate per problem, in order, or the
+    NonConvergence to raise for it. The constant, the report and every
+    check read these estimates.
+
+    At p = 1 the divergence certificate comes first, at any inv_d (the
+    -inv_d (Lf)^2 term only lowers the ratio): a certified problem is -inf,
+    with ``divergent_via`` in its diagnostics. The others are the lowest
+    ratio the descent reached (_multistart), however low: the ratio is
+    homogeneous of degree 1 in the rates, so no fixed level separates a
+    large finite value from -inf. They descend in one lockstep per chunk
+    of problems with equal _shape_key, each chunk at most _block rows of
+    starts (one problem if its starts alone exceed that). A vertex's random
+    starts draw from the (seed, x) generator, so it gets the same starts
+    wherever it is solved.
+    """
+    out, groups = [None] * len(probs), {}
     for i, q in enumerate(probs):
-        groups.setdefault(q._shape_key(), []).append(i)
-    out = [None] * len(probs)
+        cert = None if q.a else _certificate(q)
+        if cert is None:
+            groups.setdefault(q._shape_key(), []).append(i)
+        else:
+            tau_star, y1, witness = cert
+            out[i] = VertexEstimate(q.x, -math.inf, witness,
+                                    {"divergent_via": y1, "tau_at_threshold": tau_star})
     for idx in groups.values():
         starts = [
             _start_points(probs[i], opts, np.random.default_rng((opts.seed, probs[i].x)))
@@ -995,33 +1043,6 @@ def _solve(probs: list, inv_d: float, opts: CurvatureOptions) -> list:
             res = _multistart([probs[i] for i in part], starts[lo : lo + chunk], inv_d, opts)
             for i, r in zip(part, res):
                 out[i] = r
-    return out
-
-
-def _estimates(probs: list, inv_d: float, opts: CurvatureOptions) -> list:
-    """Estimate inf (2 Psi_2 - 2 inv_d (Lf)^2)/(2 Psi) at each problem of
-    ``probs``: a VertexEstimate per problem, in order, or the
-    NonConvergence to raise for it. The constant, the report and every
-    check read these estimates.
-
-    At p = 1 the divergence certificate comes first, at any inv_d (the
-    -inv_d (Lf)^2 term only lowers the ratio): a certified problem is -inf,
-    with ``divergent_via`` in its diagnostics. The others are the lowest
-    ratio the descent reached (_solve), however low: the ratio is
-    homogeneous of degree 1 in the rates, so no fixed level separates a
-    large finite value from -inf.
-    """
-    out, todo = [None] * len(probs), []
-    for i, q in enumerate(probs):
-        cert = None if q.a else _certificate(q)
-        if cert is None:
-            todo.append(i)
-        else:
-            tau_star, y1, witness = cert
-            out[i] = VertexEstimate(q.x, -math.inf, witness,
-                                    {"divergent_via": int(y1), "tau_at_threshold": tau_star})
-    for i, est in zip(todo, _solve([probs[i] for i in todo], inv_d, opts)):
-        out[i] = est
     return out
 
 
@@ -1048,14 +1069,6 @@ _ROUNDING_ULPS = 64
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
-def _finite_kappa(*kappas: float) -> None:
-    """A check compares kappa with a finite slack: nan or +-inf is no
-    condition, and would leave _decide halving forever."""
-    for kappa in kappas:
-        if not math.isfinite(kappa):
-            raise InvalidParameter(f"kappa must be finite, got {kappa}")
-
-
 def _decide(prob: VertexProblem, est, kappa: float, inv_d: float) -> CheckResult:
     """Decide Psi_2 - kappa Psi - inv_d (Lf)^2 >= 0 at every field of
     ``prob`` from ``est``, its estimate (_estimates, same inv_d); an
@@ -1078,8 +1091,10 @@ def _decide(prob: VertexProblem, est, kappa: float, inv_d: float) -> CheckResult
     diag = _solved(est).diagnostics
     if "divergent_via" in diag:
         y1 = diag["divergent_via"]
-        tau = min(-40.0, float(_family_tau(prob.chain, prob.x, y1, kappa)))
-        field = prob.field_from(prob.family_point(int(np.flatnonzero(prob.s1 == y1)[0]), tau))
+        i1 = int(np.flatnonzero(prob.s1 == y1)[0])
+        margin, intercept, _ = prob._family_lines()
+        tau = min(-40.0, float((kappa - 1.0 - intercept[i1]) * 2.0 / margin[i1]))
+        field = prob.field_from(prob.family_point(i1, tau))
         return CheckResult(False, -math.inf, field, {"divergent_via": y1, "tau": tau})
     z = est.witness[prob.ball[: prob.dim]]  # field_from's inverse, exact
     while True:
@@ -1155,34 +1170,24 @@ def no_lower_bound_witness(chain: MarkovChain, x: int, y: int, tau: float) -> np
     M1(x) + M1(y) - 2(k(x,y) + k(y,x)) > 0; the returned field sends the
     curvature ratio at x to -inf as tau -> -inf.
     """
-    if chain.rate(x, y) <= 0.0:
-        raise ConditionNotMet(f"states {x} and {y} are not adjacent")
     prob = VertexProblem(chain, x)
+    hit = np.flatnonzero(prob.s1 == y)
+    if not hit.size:
+        raise ConditionNotMet(f"states {x} and {y} are not adjacent")
     if not prob._tree_like():
         raise ConditionNotMet(f"a triangle or 4-cycle passes through state {x}")
-    if not _branching(chain, x, y):
+    i = int(hit[0])
+    if not prob._family_lines()[2][i]:
         raise ConditionNotMet(
             "M1(x) + M1(y) - 2(k(x,y) + k(y,x)) is not strictly positive"
         )
-    i = int(np.flatnonzero(prob.s1 == y)[0])
     return prob.field_from(prob.family_point(i, tau))
-
-
-def _margin(chain: MarkovChain, x: int, y: int) -> float:
-    """M1(x) + M1(y) - 2(k(x,y) + k(y,x)), the divergence margin of (x, y)."""
-    return float(
-        chain.m1[x] + chain.m1[y] - 2.0 * (chain.rate(x, y) + chain.rate(y, x))
-    )
-
-
-def _branching(chain: MarkovChain, x: int, y: int) -> bool:
-    """Whether the margin of (x, y) is positive beyond rounding."""
-    return _margin(chain, x, y) > 1e-12 * float(chain.m1[x] + chain.m1[y])
 
 
 def divergence_candidates(chain: MarkovChain, x: int) -> list:
     """Neighbours y of x satisfying the divergence margin condition."""
-    return [int(y) for y in chain.neighbors[x] if _branching(chain, x, int(y))]
+    prob = VertexProblem(chain, x)
+    return prob.s1[prob._family_lines()[2]].tolist()
 
 
 def divergence_certificate(chain: MarkovChain, x: int):
@@ -1199,39 +1204,26 @@ def divergence_certificate(chain: MarkovChain, x: int):
     4-cycle through x). Divergence is certified when margin > 0; returns
     (tau_star, y1, witness), where y1's line reaches _MINUS_INF_THRESHOLD at
     tau_star and no other neighbour's line gets there first, else None. It
-    is the only source of a reported -inf (_estimates).
+    is the only source of a reported -inf (_estimates). Every neighbour's
+    line is read off the two-ball (VertexProblem._family_lines).
     """
     return _certificate(VertexProblem(chain, x))
 
 
 def _certificate(prob: VertexProblem):
     """divergence_certificate on the built problem of its vertex."""
-    chain, x = prob.chain, prob.x
     if not prob._tree_like():
         return None
-    best = None
-    for y1 in divergence_candidates(chain, x):
-        tau_star = _family_tau(chain, x, y1, _MINUS_INF_THRESHOLD)
-        if best is None or tau_star > best[0]:
-            best = (float(tau_star), y1)
-    if best is None:
+    margin, intercept, branching = prob._family_lines()
+    cand = np.flatnonzero(branching)
+    if not cand.size:
         return None
-    tau_star, y1 = best
-    i1 = int(np.flatnonzero(prob.s1 == y1)[0])
-    return tau_star, y1, prob.field_from(prob.family_point(i1, -40.0))
-
-
-def _family_tau(chain: MarkovChain, x: int, y1: int, level: float) -> float:
-    """The tau where the asymptote line of the family through y1 (see
-    divergence_certificate) is one unit below ``level``; the ratio along
-    the family approaches the line from above."""
-    c1 = chain.rate(x, y1)
-    offset = -c1 * chain.m1[x] + c1 * (chain.m1[y1] - chain.rate(y1, x))
-    for y in chain.neighbors[x]:
-        y = int(y)
-        if y != y1:
-            offset += chain.rate(x, y) * chain.rate(y, x)
-    return (level - 1.0 - offset / (2.0 * c1)) * 2.0 / _margin(chain, x, y1)
+    # the tau where each candidate's line is one unit below the threshold;
+    # the first of the latest wins, so no other line gets there first
+    tau = (_MINUS_INF_THRESHOLD - 1.0 - intercept[cand]) * 2.0 / margin[cand]
+    best = int(np.argmax(tau))
+    i1 = int(cand[best])
+    return float(tau[best]), int(prob.s1[i1]), prob.field_from(prob.family_point(i1, -40.0))
 
 
 # -- example-family certificates ---------------------------------------------------
@@ -1301,16 +1293,11 @@ def star_kappa_certificate(chain: MarkovChain, kappa: float) -> bool:
     for x in range(chain.n):
         if x != center and set(int(v) for v in chain.neighbors[x]) != {center}:
             raise NotAStar("leaves must be adjacent only to the center")
-    m1c = float(chain.m1[center])
+    prob = VertexProblem(chain, center)
+    out, m1c = prob.c[0], prob.m1x[0]  # k(x*, a_i) and M1(x*)
     thresh = kappa / (1.0 + math.sqrt(3.0))
-    for a in chain.neighbors[center]:
-        a = int(a)
-        out = chain.rate(center, a)
-        if chain.rate(a, center) - (m1c - out) < kappa - 1e-14:
-            return False
-        if out < thresh - 1e-14:
-            return False
-    return True
+    fails = (prob._kyx - (m1c - out) < kappa - 1e-14) | (out < thresh - 1e-14)
+    return not fails.any()
 
 
 # -- brute-force oracles ------------------------------------------------------------
@@ -1442,8 +1429,7 @@ def chain_hash(chain: MarkovChain) -> str:
 def _vertex_record(prob: VertexProblem, est) -> dict:
     """A report row from the vertex's problem and its estimate (_estimates)."""
     x, chain = prob.x, prob.chain
-    kbe, witness_be = _bakry_emery(prob)
-    rec = {"vertex": x, "state": chain.states[x], "kappa_be": kbe, "witness_be": witness_be}
+    rec = {"vertex": x, "state": chain.states[x], "kappa_be": _bakry_emery(prob)[0]}
     if isinstance(est, NonConvergence):
         return dict(
             rec, kappa_upsilon=float("nan"), slack=0.0, witness=np.zeros(chain.n),

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the checks' kappa guard."""
+
+import math
 
 
 class UpsilonCDError(Exception):
@@ -23,6 +25,13 @@ class NotIrreducible(UpsilonCDError):
 
 class InvalidParameter(UpsilonCDError):
     """A builder or operation parameter is outside its admissible range."""
+
+
+def _finite_kappa(*kappas: float) -> None:
+    """Reject a nan or +-inf kappa, which no check can compare with."""
+    for kappa in kappas:
+        if not math.isfinite(kappa):
+            raise InvalidParameter(f"kappa must be finite, got {kappa}")
 
 
 class DimensionMismatch(UpsilonCDError):

@@ -24,6 +24,7 @@ from .errors import (
     NonPositiveEntropy,
     NonPositiveField,
     PositivityLoss,
+    _finite_kappa,
 )
 from .kernels import log_mean, log_mean_d1, phi_p, phi_p_prime
 from .operators import (
@@ -68,6 +69,8 @@ _EXPM_MAX_N = 400
 # Stacked functionals run their rows in blocks of at most this many
 # rows x edges, so their edge-aligned temporaries do not grow with the stack.
 _BLOCK_ELEMENTS = 2**13
+# log of the largest mass ratio of the sampled checks' steepest tilts
+_TILT_LOG_RATIO = np.log(1e6)
 
 
 def _integral(chain: MarkovChain, v: np.ndarray):
@@ -154,6 +157,7 @@ class FlowTrace:
 
     def decay_check(self, kappa: float) -> InequalityReport:
         """Verify H(rho_t) <= exp(-2 kappa t) H(rho_0) along this trace."""
+        _finite_kappa(kappa)
         H0 = self.H[0]
         if H0 <= 0.0:
             raise NonPositiveEntropy("H(rho_0) = 0; decay holds trivially")
@@ -353,13 +357,11 @@ def _random_densities(chain: MarkovChain, rng, size) -> np.ndarray:
     return rho / _integral(chain, rho)[..., None]
 
 
-def _tilt_densities(chain: MarkovChain, max_log_ratio: float = None) -> np.ndarray:
+def _tilt_densities(chain: MarkovChain) -> np.ndarray:
     """Adversarial exponential tilts of indicator and distance fields, as an
     (m, n) stack: per field g of span > 0, exp(s g) normalized, for 8 slopes
-    s in [-1, 1], the two reaching mass ratio max_log_ratio, and +-1e-3,
-    +-1e-2."""
-    if max_log_ratio is None:
-        max_log_ratio = np.log(1e6)
+    s in [-1, 1], the two reaching the log mass ratio _TILT_LOG_RATIO, and
+    +-1e-3, +-1e-2."""
     src, dst, _ = chain.edges
     k = min(chain.n, 4)
     dist = np.full((k, chain.n), np.inf)  # BFS distances from vertices 0..k-1
@@ -379,7 +381,7 @@ def _tilt_densities(chain: MarkovChain, max_log_ratio: float = None) -> np.ndarr
     s = np.concatenate(
         [
             np.broadcast_to(slopes[slopes != 0.0], (len(g), 8)),
-            np.array([-1.0, 1.0]) * max_log_ratio / span[:, None],
+            np.array([-1.0, 1.0]) * _TILT_LOG_RATIO / span[:, None],
             np.broadcast_to([1e-3, -1e-3, 1e-2, -1e-2], (len(g), 4)),
         ],
         axis=1,
@@ -446,6 +448,7 @@ def entropy_decay_check(
     chain: MarkovChain, kappa: float, rho0, T: float, output_grid=201
 ) -> InequalityReport:
     """Verify H(rho_t) <= exp(-2 kappa t) H(rho_0) along the flow."""
+    _finite_kappa(kappa)
     return heat_flow(chain, rho0, T, output_grid).decay_check(kappa)
 
 
@@ -469,6 +472,7 @@ def gradient_bound_check(
     chain: MarkovChain, f, kappa: float, times
 ) -> InequalityReport:
     """Pointwise check of Psi_Ups(P_t f) <= exp(-2 kappa t) P_t Psi_Ups(f)."""
+    _finite_kappa(kappa)
     f = _field(chain, f)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     psi0 = psi_upsilon(chain, f)

@@ -7,9 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import MarkovChain, chain_from_rates
-from .curvature import (CurvatureOptions, DEFAULT_OPTIONS, VertexProblem, _decide, _estimates,
-                        _finite_kappa)
-from .errors import PrerequisiteFailed, SizeOverflow
+from .curvature import CurvatureOptions, DEFAULT_OPTIONS, VertexProblem, _decide, _estimates
+from .errors import PrerequisiteFailed, SizeOverflow, _finite_kappa
 from .operators import _field, psi2_upsilon
 
 __all__ = ["ProductChain", "product", "tensor_curvature_check", "TensorReport"]

@@ -272,9 +272,12 @@ class TestTensor:
      "--kappa1", "1", "--kappa2", "inf"],
     ["mlsi", "family", "hypercube", "3", "--alpha", "nan"],
     ["beckner", "family", "hypercube", "3", "--alpha", "nan", "--p", "1.5"],
+    ["flow", "family", "complete", "2", "--kappa", "nan", "--grid", "51"],
+    ["flow", "family", "complete", "2", "--kappa", "inf", "--grid", "51"],
 ])
 def test_non_finite_kappa_or_alpha_exits_2(argv, capsys):
-    # these hung (tensor) or printed "holds": true and exited 0 (mlsi)
+    # these hung (tensor), printed "holds": true and exited 0 (mlsi), or
+    # exited 4 as a residual violation (flow)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 from dataclasses import replace
@@ -682,6 +683,82 @@ class TestDivergenceWitness:
             ratio = op.psi2_upsilon(chain, f)[0] / op.psi_upsilon(chain, f)[0]
             assert ratio < prev
             prev = ratio
+
+
+def _scalar_lines(chain, x):
+    """Per neighbour y of x, (margin, intercept, branching) of the witness
+    family's line by the chain-level scalar formulas, one pair at a time
+    (the oracle of VertexProblem._family_lines)."""
+    out = {}
+    for y in chain.neighbors[x].tolist():
+        margin = float(chain.m1[x] + chain.m1[y] - 2.0 * (chain.rate(x, y) + chain.rate(y, x)))
+        c1 = chain.rate(x, y)
+        offset = -c1 * chain.m1[x] + c1 * (chain.m1[y] - chain.rate(y, x))
+        for z in chain.neighbors[x].tolist():
+            if z != y:
+                offset += chain.rate(x, z) * chain.rate(z, x)
+        branching = margin > 1e-12 * float(chain.m1[x] + chain.m1[y])
+        out[y] = (margin, offset / (2.0 * c1), branching)
+    return out
+
+
+def _tree_like(chain, x):
+    """No edge inside S1 and no S2 vertex reached from two S1 vertices."""
+    s1 = set(chain.neighbors[x].tolist())
+    hits = collections.Counter()
+    for y in s1:
+        for z in chain.neighbors[y].tolist():
+            if z in s1:
+                return False
+            if z != x:
+                hits[z] += 1
+    return all(k == 1 for k in hits.values())
+
+
+def _triangle_chain():
+    # triangle 0-1-2 with leaves 3, 4 at 1 and 5 at 0: vertex 0 has the
+    # branching neighbours 1 and 2, but its two-ball is not tree-like
+    table = {}
+    for a, b in [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (0, 5)]:
+        table[(a, b)] = table[(b, a)] = 1.0
+    return ch.chain_from_rates([str(i) for i in range(6)], table)
+
+
+class TestFamilyLines:
+    CHAINS = {
+        **{f"tree{i}": lambda i=i: random_tree(np.random.default_rng([78, i]), 100)
+           for i in range(3)},
+        "branched_tree5": branched_tree5,
+        "perturbed_bd": lambda: ch.perturbed_birth_death(
+            ch.birth_death(lambda x: 1.0, lambda x: float(x), 30), 2, 8, 1e-5
+        ),
+        "triangle": _triangle_chain,
+    }
+
+    @pytest.mark.parametrize("name", CHAINS)
+    def test_lines_and_certificate_match_scalar_formula(self, name):
+        # bit for bit: the lines, divergence_candidates and the certificate's
+        # tau_at_threshold against the pairwise chain-level formulas
+        chain = self.CHAINS[name]()
+        for x in range(chain.n):
+            oracle = _scalar_lines(chain, x)
+            margin, intercept, branching = cv.VertexProblem(chain, x)._family_lines()
+            assert [(float(m), float(b), bool(k)) for m, b, k in
+                    zip(margin, intercept, branching)] == list(oracle.values())
+            cands = [y for y, (_, _, k) in oracle.items() if k]
+            assert cv.divergence_candidates(chain, x) == cands
+            cert = cv.divergence_certificate(chain, x)
+            if not (cands and _tree_like(chain, x)):
+                assert cert is None
+                continue
+            taus = {y: (-1e6 - 1.0 - oracle[y][1]) * 2.0 / oracle[y][0] for y in cands}
+            y1 = max(cands, key=lambda y: (taus[y], -cands.index(y)))
+            assert cert[:2] == (taus[y1], y1)
+
+    def test_triangle_declines_with_a_candidate(self):
+        chain = _triangle_chain()
+        assert cv.divergence_candidates(chain, 0) == [1, 2]
+        assert cv.divergence_certificate(chain, 0) is None
 
 
 class TestBirthDeathBound:

@@ -193,6 +193,22 @@ class TestDecay:
         with pytest.raises(NonPositiveEntropy):
             fl.entropy_decay_check(k3, 1.0, np.ones(3), 1.0, 11)
 
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kappa_is_rejected_before_the_flow(self, kappa, monkeypatch):
+        # a nan kappa made the bound nan, and the check answered holds=False
+        def no_flow(*args, **kwargs):
+            raise AssertionError("propagated")
+
+        monkeypatch.setattr(fl, "heat_flow", no_flow)
+        with pytest.raises(InvalidParameter, match="kappa must be finite"):
+            fl.entropy_decay_check(ch.complete(3), kappa, np.array([1.5, 1.0, 0.5]), 1.0, 11)
+
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf])
+    def test_trace_decay_check_rejects_non_finite_kappa(self, kappa):
+        trace = fl.heat_flow(ch.complete(3), np.array([1.5, 1.0, 0.5]), 1.0, 11)
+        with pytest.raises(InvalidParameter, match="kappa must be finite"):
+            trace.decay_check(kappa)
+
     def test_decay_rate_fit_two_point(self):
         # spectral gap 2: H decays at asymptotic rate 4 (H ~ (rho-1)^2)
         c = ch.two_point(1.0, 1.0)
@@ -278,6 +294,17 @@ class TestGradientBound:
     def test_negative_time_rejected(self):
         with pytest.raises(InvalidParameter):
             fl.gradient_bound_check(ch.complete(2), np.zeros(2), 1.0, [0.1, -0.1])
+
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kappa_is_rejected_before_the_flow(self, kappa, monkeypatch):
+        # every slack was nan at a nan kappa, none replaced the initial inf,
+        # and the check answered holds=True
+        def no_flow(*args):
+            raise AssertionError("propagated")
+
+        monkeypatch.setattr(fl, "semigroup_apply", no_flow)
+        with pytest.raises(InvalidParameter, match="kappa must be finite"):
+            fl.gradient_bound_check(ch.complete(3), [0.0, 1.0, 2.0], kappa, [0.1, 0.5])
 
 
 class TestPowerEntropy:
